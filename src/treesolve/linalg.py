@@ -1,14 +1,22 @@
-"""Batched LU factorization with partial pivoting for stacks of small blocks.
+"""Batched inversion and LU factorization of stacks of small square blocks.
 
-All leading axes index independent blocks; the factorization loops only over
-the (small) block dimension and is vectorized across the stack.  A block is
-declared singular when a pivot falls below PIVOT_RTOL times the block's
-largest entry magnitude.
+All leading axes index independent blocks.  A block counts as singular when
+partial-pivoted elimination meets a pivot below PIVOT_RTOL times the block's
+largest entry magnitude; :func:`lu_factor` is the reference that decides
+this, with a loop over the (small) block dimension vectorized across the
+stack.
+
+The solver's hot path uses :func:`invert_blocks` instead: one batched LAPACK
+inverse per stack (an elementwise reciprocal for 1x1 blocks) behind a cheap
+screen that proves no pivot can fall under the threshold.  A stack the
+screen cannot clear is handed to :func:`lu_factor`, which raises exactly
+where it always did.
 """
 
 import numpy as np
 
-__all__ = ["PIVOT_RTOL", "SingularBlockError", "lu_factor", "lu_solve", "solve_blocks"]
+__all__ = ["PIVOT_RTOL", "SingularBlockError", "invert_blocks", "lu_factor", "lu_solve",
+           "solve_blocks"]
 
 PIVOT_RTOL = 1e-12
 
@@ -96,6 +104,38 @@ def lu_solve(lu: np.ndarray, perm: np.ndarray, b: np.ndarray) -> np.ndarray:
             x[..., i, :] -= (lu_b[..., i : i + 1, i + 1 :] @ x[..., i + 1 :, :])[..., 0, :]
         x[..., i, :] /= lu_b[..., i, i][..., None]
     return x
+
+
+def invert_blocks(a: np.ndarray, rtol: float = PIVOT_RTOL) -> np.ndarray:
+    """Invert a stack of square blocks, rejecting exactly what :func:`lu_factor` rejects.
+
+    Uses one batched LAPACK inverse, or the elementwise reciprocal for 1x1
+    blocks.  Partial pivoting keeps every multiplier at most 1 in magnitude,
+    so every pivot is at least 1 / ||A^-1||_inf.  A stack where every block
+    has ``2 rtol max|A| ||A^-1||_inf < 1`` (the factor 2 absorbs rounding)
+    therefore has no pivot under ``rtol max|A|`` and is returned directly.
+    Any other stack, or one LAPACK finds exactly singular, goes through
+    :func:`lu_factor`, which raises :class:`SingularBlockError` with the
+    same ``block_index`` and ``pivot_step`` as always.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected a stack of square blocks, got shape {a.shape}")
+    # zero, infinite or NaN blocks make inf/NaN here; they fail the screen instead
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        try:
+            inv = 1.0 / a if a.shape[-1] == 1 else np.linalg.inv(a)
+        except np.linalg.LinAlgError:
+            inv = None
+        if inv is not None:
+            scale = np.max(np.abs(a), axis=(-2, -1))
+            inv_norm = np.max(np.sum(np.abs(inv), axis=-1), axis=-1)
+            if np.all(2.0 * rtol * scale * inv_norm < 1.0):
+                return inv
+    lu, perm = lu_factor(a, rtol)
+    if inv is None:  # LAPACK met an exact zero the reference LU did not
+        inv = lu_solve(lu, perm, np.broadcast_to(np.eye(a.shape[-1]), a.shape))
+    return inv
 
 
 def solve_blocks(a: np.ndarray, b: np.ndarray, rtol: float = PIVOT_RTOL) -> np.ndarray:

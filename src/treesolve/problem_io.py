@@ -69,14 +69,22 @@ def read_problem(path):
         header = json.loads(header_line.decode("ascii"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise ValueError(f"unreadable problem header: {e}") from None
+    if not isinstance(header, dict):
+        raise ValueError(f"malformed problem header: expected a JSON object, "
+                         f"got {type(header).__name__}")
     version = header.get("format_version")
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported format version {version!r}")
-    tree = _tree_from_header(header["tree"])
-    d = [int(x) for x in header["block_sizes"]]
+    try:
+        tree = _tree_from_header(header["tree"])
+        d = [int(x) for x in header["block_sizes"]]
+        heads, batch, r = int(header["heads"]), int(header["batch"]), int(header["right_parts"])
+    except KeyError as e:
+        raise ValueError(f"malformed problem header: missing key {e}") from None
+    except (TypeError, AttributeError) as e:
+        raise ValueError(f"malformed problem header: {e}") from None
     if len(d) != tree.depth:
         raise ValueError(f"expected {tree.depth} block sizes, got {len(d)}")
-    heads, batch, r = int(header["heads"]), int(header["batch"]), int(header["right_parts"])
     if min(heads, batch, r) < 1:
         raise ValueError("heads, batch and right_parts must be positive")
     n = tree.level_sizes

@@ -21,7 +21,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .linalg import PIVOT_RTOL, SingularBlockError, lu_factor, lu_solve
+from .linalg import PIVOT_RTOL, SingularBlockError, invert_blocks
 from .params import BlockGrads, LevelParams, TreeVector
 from .topology import TreeTopology
 
@@ -72,8 +72,8 @@ class SolveStats:
     """Operation counters for one solve.
 
     level_steps counts sequential phases (each upward step, the root solve,
-    each downward step).  block_ops counts small-block primitives (factor,
-    triangular solve, multiply), one unit per (batch, head, node) block.
+    each downward step).  block_ops counts small-block primitives (inverse,
+    multiply), one unit per (batch, head, node) block.
     aux_floats counts float64 values retained between the passes.
     """
 
@@ -101,7 +101,7 @@ def segment_sum(values: np.ndarray, sizes, axis: int) -> np.ndarray:
 
 def _factor_level(a, rtol, stats, level_1b):
     try:
-        lu, perm = lu_factor(a, rtol)
+        inv = invert_blocks(a, rtol)
     except SingularBlockError as e:
         e.level = level_1b
         e.head = e.block_index[0] + 1
@@ -109,7 +109,7 @@ def _factor_level(a, rtol, stats, level_1b):
         raise
     if stats is not None:
         stats.count_blocks(a.shape)
-    return lu, perm
+    return inv
 
 
 def upward_step(carry: LevelData, parent: LevelData, split, *,
@@ -125,9 +125,9 @@ def upward_step(carry: LevelData, parent: LevelData, split, *,
     """
     if carry.B is None or carry.C is None:
         raise ValueError("upward_step needs a child level with parent couplings")
-    lu, perm = _factor_level(carry.A, rtol, stats, child_level + 1)
-    b_hat = -lu_solve(lu, perm, carry.B)
-    u_hat = lu_solve(lu, perm, carry.u)
+    inv = _factor_level(carry.A, rtol, stats, child_level + 1)
+    b_hat = -(inv @ carry.B)
+    u_hat = inv @ carry.u
     msg_a = carry.C @ b_hat
     msg_u = carry.C @ u_hat
     a_new = parent.A + segment_sum(msg_a, split, axis=1)
@@ -165,6 +165,9 @@ def _validate(params: LevelParams, tree: TreeTopology, u: TreeVector) -> None:
         raise ValueError(
             f"right part block sizes {u.block_sizes} != parameter blocks {params.block_sizes}"
         )
+    for l, v in enumerate(u.levels):
+        if not np.isfinite(v).all():
+            raise ValueError(f"right part level {l + 1} contains non-finite entries")
 
 
 def upward_sweep(params: LevelParams, tree: TreeTopology, u: TreeVector, *,
@@ -194,8 +197,8 @@ def downward_sweep(state: SolveState, tree: TreeTopology, *,
                    rtol: float = PIVOT_RTOL,
                    stats: Optional[SolveStats] = None) -> TreeVector:
     """Solve the root system and back-substitute down to the leaves."""
-    lu, perm = _factor_level(state.root_matrix, rtol, stats, tree.depth)
-    x = lu_solve(lu, perm, state.root_rhs)
+    inv = _factor_level(state.root_matrix, rtol, stats, tree.depth)
+    x = inv @ state.root_rhs
     if stats is not None:
         stats.level_steps += 1
         stats.count_blocks(x.shape)

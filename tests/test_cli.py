@@ -1,6 +1,10 @@
 import csv
+import json
 
-from treesolve import read_problem, write_problem
+import numpy as np
+import pytest
+
+from treesolve import TreeVector, read_problem, write_problem
 from treesolve.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VERIFY,
                            main)
 
@@ -72,6 +76,32 @@ class TestVerify:
         assert main(["verify", "--in", str(path)]) == EXIT_NUMERICAL
         err = capsys.readouterr().err
         assert "level 1, node 3" in err
+
+    @pytest.mark.parametrize("header, missing", [
+        ({"format_version": 1, "block_sizes": [1], "heads": 1, "batch": 1,
+          "right_parts": 1}, "'tree'"),
+        ([1, {"tree": {}}], "JSON object"),
+        ({"format_version": 1, "tree": {}, "block_sizes": [1], "heads": 1, "batch": 1,
+          "right_parts": 1}, "'level_sizes'"),
+    ])
+    def test_malformed_header_is_usage_error(self, tmp_path, capsys, header, missing):
+        path = tmp_path / "p.bin"
+        path.write_bytes(json.dumps(header).encode() + b"\n")
+        assert main(["verify", "--in", str(path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed problem header:") and missing in err
+        assert err.count("\n") == 1
+
+    def test_nan_right_part_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "p.bin"
+        assert main(gen_args(path, leaves=4)) == EXIT_OK
+        tree, params, u = read_problem(path)
+        levels = [v.copy() for v in u.levels]
+        levels[2][0, 0, 0, 0, 0] = np.nan
+        write_problem(path, tree, params, TreeVector(tuple(levels)))
+        assert main(["verify", "--in", str(path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "level 3 contains non-finite" in err and err.count("\n") == 1
 
     def test_over_dense_cap_is_usage_error(self, tmp_path):
         path = tmp_path / "p.bin"

@@ -154,6 +154,25 @@ class TestSolve:
         with pytest.raises(ValueError, match="block sizes"):
             solve(params, tree, bad)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("call", ["solve", "solve_transpose", "vjp_u", "vjp_g"])
+    def test_non_finite_right_part_rejected(self, call, bad):
+        tree = build_perfect_tree(2, 4)
+        params = init_random_stable(tree, 2, seed=0)
+        u = random_rhs(tree, 2, rng=np.random.default_rng(0))
+        x = solve(params, tree, u)
+        levels = [v.copy() for v in u.levels]
+        levels[1][0, 0, 1, 0, 0] = bad
+        poisoned = TreeVector(tuple(levels))
+        calls = {
+            "solve": lambda: solve(params, tree, poisoned),
+            "solve_transpose": lambda: solve_transpose(params, tree, poisoned),
+            "vjp_u": lambda: vjp(params, tree, poisoned, x, u),
+            "vjp_g": lambda: vjp(params, tree, u, x, poisoned),
+        }
+        with pytest.raises(ValueError, match="level 2 contains non-finite"):
+            calls[call]()
+
     def test_singularity_names_level_and_node(self):
         tree = build_chain(3)
         ones = np.ones((1, 1, 1, 1))
