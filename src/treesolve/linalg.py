@@ -47,13 +47,13 @@ class SingularBlockError(np.linalg.LinAlgError):
         return f"singular diagonal block at {where} (pivot step {self.pivot_step})"
 
 
-def lu_factor(a: np.ndarray, rtol: float = PIVOT_RTOL):
+def lu_factor(a: np.ndarray):
     """Factor a stack of square blocks, P A = L U.
 
     Returns ``(lu, perm)`` where ``lu`` packs the unit-lower and upper factors
     and ``perm[..., i]`` is the original row that ended up at position ``i``.
     Raises :class:`SingularBlockError` on the first block whose pivot falls
-    below ``rtol`` times the block's max absolute entry.
+    below ``PIVOT_RTOL`` times the block's max absolute entry.
     """
     lu = np.array(a, dtype=np.float64)
     if lu.ndim < 2 or lu.shape[-1] != lu.shape[-2]:
@@ -66,7 +66,7 @@ def lu_factor(a: np.ndarray, rtol: float = PIVOT_RTOL):
         col = np.abs(lu[..., k:, k])
         rel = np.argmax(col, axis=-1)
         pivmag = np.take_along_axis(col, rel[..., None], axis=-1)[..., 0]
-        bad = pivmag <= rtol * scale
+        bad = pivmag <= PIVOT_RTOL * scale
         if np.any(bad):
             flat = int(np.argmax(bad.reshape(-1)))
             index = np.unravel_index(flat, lead) if lead else ()
@@ -106,14 +106,15 @@ def lu_solve(lu: np.ndarray, perm: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def invert_blocks(a: np.ndarray, rtol: float = PIVOT_RTOL) -> np.ndarray:
+def invert_blocks(a: np.ndarray) -> np.ndarray:
     """Invert a stack of square blocks, rejecting exactly what :func:`lu_factor` rejects.
 
     Uses one batched LAPACK inverse, or the elementwise reciprocal for 1x1
     blocks.  Partial pivoting keeps every multiplier at most 1 in magnitude,
     so every pivot is at least 1 / ||A^-1||_inf.  A stack where every block
-    has ``2 rtol max|A| ||A^-1||_inf < 1`` (the factor 2 absorbs rounding)
-    therefore has no pivot under ``rtol max|A|`` and is returned directly.
+    has ``2 PIVOT_RTOL max|A| ||A^-1||_inf < 1`` (the factor 2 absorbs
+    rounding) therefore has no pivot under ``PIVOT_RTOL max|A|`` and is
+    returned directly.
     Any other stack, or one LAPACK finds exactly singular, goes through
     :func:`lu_factor`, which raises :class:`SingularBlockError` with the
     same ``block_index`` and ``pivot_step`` as always.
@@ -130,15 +131,15 @@ def invert_blocks(a: np.ndarray, rtol: float = PIVOT_RTOL) -> np.ndarray:
         if inv is not None:
             scale = np.max(np.abs(a), axis=(-2, -1))
             inv_norm = np.max(np.sum(np.abs(inv), axis=-1), axis=-1)
-            if np.all(2.0 * rtol * scale * inv_norm < 1.0):
+            if np.all(2.0 * PIVOT_RTOL * scale * inv_norm < 1.0):
                 return inv
-    lu, perm = lu_factor(a, rtol)
+    lu, perm = lu_factor(a)
     if inv is None:  # LAPACK met an exact zero the reference LU did not
         inv = lu_solve(lu, perm, np.broadcast_to(np.eye(a.shape[-1]), a.shape))
     return inv
 
 
-def solve_blocks(a: np.ndarray, b: np.ndarray, rtol: float = PIVOT_RTOL) -> np.ndarray:
+def solve_blocks(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """One-shot blockwise solve, factoring ``a`` on the fly."""
-    lu, perm = lu_factor(a, rtol)
+    lu, perm = lu_factor(a)
     return lu_solve(lu, perm, b)

@@ -195,12 +195,13 @@ class BlockGrads(NamedTuple):
 
 def _block_size_list(block_sizes, depth: int) -> list[int]:
     if np.isscalar(block_sizes):
-        return [int(block_sizes)] * depth
-    sizes = [int(d) for d in block_sizes]
-    if len(sizes) != depth:
-        raise ValueError(f"expected {depth} block sizes, got {len(sizes)}")
+        sizes = [int(block_sizes)] * depth
+    else:
+        sizes = [int(d) for d in block_sizes]
+        if len(sizes) != depth:
+            raise ValueError(f"expected {depth} block sizes, got {len(sizes)}")
     if any(d < 1 for d in sizes):
-        raise ValueError(f"block sizes must be positive, got {sizes}")
+        raise ValueError(f"block sizes must be positive, got {block_sizes}")
     return sizes
 
 
@@ -215,8 +216,8 @@ def init_random_stable(tree: TreeTopology, block_sizes=1, heads: int = 1,
     I plus a sum of Gram terms, so it stays symmetric positive definite and
     the solve cannot hit a degenerate pivot.  Deterministic in ``seed``.
     """
-    if coupling_scale < 0:
-        raise ValueError(f"coupling scale must be nonnegative, got {coupling_scale}")
+    if not (np.isfinite(coupling_scale) and coupling_scale >= 0):
+        raise ValueError(f"coupling scale must be finite and nonnegative, got {coupling_scale}")
     sizes = _block_size_list(block_sizes, tree.depth)
     rng = np.random.default_rng(seed)
     A = tuple(

@@ -13,15 +13,16 @@ per-level update
 followed by x_c = u_hat_c + b_hat_c x_parent, the whole solve costs O(total
 nodes) block operations and 2(D-1)+1 sequential level steps for D levels.
 Within a level all (batch, head, node) blocks are independent; parameters
-are shared immutably, so concurrent solves are safe.
+are shared immutably, so concurrent solves are safe.  The sweeps carry no
+instrumentation: :func:`solve_with_stats` reads its operation counters off
+the elimination state the upward pass retains.
 """
 
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .linalg import PIVOT_RTOL, SingularBlockError, invert_blocks
+from .linalg import SingularBlockError, invert_blocks
 from .params import BlockGrads, LevelParams, TreeVector
 from .topology import TreeTopology
 
@@ -67,8 +68,7 @@ class SolveState(NamedTuple):
     root_rhs: np.ndarray
 
 
-@dataclass
-class SolveStats:
+class SolveStats(NamedTuple):
     """Operation counters for one solve.
 
     level_steps counts sequential phases (each upward step, the root solve,
@@ -77,12 +77,9 @@ class SolveStats:
     aux_floats counts float64 values retained between the passes.
     """
 
-    level_steps: int = 0
-    block_ops: int = 0
-    aux_floats: int = 0
-
-    def count_blocks(self, shape) -> None:
-        self.block_ops += int(np.prod(shape[:-2], dtype=np.int64))
+    level_steps: int
+    block_ops: int
+    aux_floats: int
 
 
 def segment_sum(values: np.ndarray, sizes, axis: int) -> np.ndarray:
@@ -99,22 +96,17 @@ def segment_sum(values: np.ndarray, sizes, axis: int) -> np.ndarray:
     return np.take(csum, ends, axis=axis) - np.take(csum, ends - sizes, axis=axis)
 
 
-def _factor_level(a, rtol, stats, level_1b):
+def _factor_level(a, level_1b):
     try:
-        inv = invert_blocks(a, rtol)
+        return invert_blocks(a)
     except SingularBlockError as e:
         e.level = level_1b
         e.head = e.block_index[0] + 1
         e.node = e.block_index[1] + 1
         raise
-    if stats is not None:
-        stats.count_blocks(a.shape)
-    return inv
 
 
-def upward_step(carry: LevelData, parent: LevelData, split, *,
-                rtol: float = PIVOT_RTOL, stats: Optional[SolveStats] = None,
-                child_level: int = 0):
+def upward_step(carry: LevelData, parent: LevelData, split, *, child_level: int = 0):
     """Eliminate one child level into its parent level.
 
     ``carry`` holds the child level (diagonal already Schur-updated by
@@ -125,30 +117,19 @@ def upward_step(carry: LevelData, parent: LevelData, split, *,
     """
     if carry.B is None or carry.C is None:
         raise ValueError("upward_step needs a child level with parent couplings")
-    inv = _factor_level(carry.A, rtol, stats, child_level + 1)
+    inv = _factor_level(carry.A, child_level + 1)
     b_hat = -(inv @ carry.B)
     u_hat = inv @ carry.u
-    msg_a = carry.C @ b_hat
-    msg_u = carry.C @ u_hat
-    a_new = parent.A + segment_sum(msg_a, split, axis=1)
-    u_new = parent.u - segment_sum(msg_u, split, axis=2)
-    if stats is not None:
-        stats.level_steps += 1
-        for s in (b_hat, u_hat, msg_a, msg_u):
-            stats.count_blocks(s.shape)
-        stats.aux_floats += b_hat.size + u_hat.size
+    a_new = parent.A + segment_sum(carry.C @ b_hat, split, axis=1)
+    u_new = parent.u - segment_sum(carry.C @ u_hat, split, axis=2)
     return LevelData(a_new, parent.B, parent.C, u_new), (u_hat, b_hat)
 
 
 def downward_step(u_hat: np.ndarray, b_hat: np.ndarray, x_parent: np.ndarray,
-                  split, stats: Optional[SolveStats] = None) -> np.ndarray:
+                  split) -> np.ndarray:
     """Recover a child level from its parent solutions: x_c = u_hat_c + b_hat_c x_p."""
     x_up = np.repeat(x_parent, np.asarray(split, dtype=np.int64), axis=2)
-    x = u_hat + b_hat @ x_up
-    if stats is not None:
-        stats.level_steps += 1
-        stats.count_blocks(x.shape)
-    return x
+    return u_hat + b_hat @ x_up
 
 
 def _validate(params: LevelParams, tree: TreeTopology, u: TreeVector) -> None:
@@ -170,9 +151,7 @@ def _validate(params: LevelParams, tree: TreeTopology, u: TreeVector) -> None:
             raise ValueError(f"right part level {l + 1} contains non-finite entries")
 
 
-def upward_sweep(params: LevelParams, tree: TreeTopology, u: TreeVector, *,
-                 rtol: float = PIVOT_RTOL,
-                 stats: Optional[SolveStats] = None) -> SolveState:
+def upward_sweep(params: LevelParams, tree: TreeTopology, u: TreeVector) -> SolveState:
     """Eliminate every level into its parent, leaf to root."""
     _validate(params, tree, u)
     depth = tree.depth
@@ -185,48 +164,50 @@ def upward_sweep(params: LevelParams, tree: TreeTopology, u: TreeVector, *,
     carry = level_data(0)
     u_hats, b_hats = [], []
     for l in range(1, depth):
-        carry, (u_hat, b_hat) = upward_step(carry, level_data(l),
-                                            tree.splits(l - 1), rtol=rtol,
-                                            stats=stats, child_level=l - 1)
+        carry, (u_hat, b_hat) = upward_step(carry, level_data(l), tree.splits(l - 1),
+                                            child_level=l - 1)
         u_hats.append(u_hat)
         b_hats.append(b_hat)
     return SolveState(tuple(u_hats), tuple(b_hats), carry.A, carry.u)
 
 
-def downward_sweep(state: SolveState, tree: TreeTopology, *,
-                   rtol: float = PIVOT_RTOL,
-                   stats: Optional[SolveStats] = None) -> TreeVector:
+def downward_sweep(state: SolveState, tree: TreeTopology) -> TreeVector:
     """Solve the root system and back-substitute down to the leaves."""
-    inv = _factor_level(state.root_matrix, rtol, stats, tree.depth)
-    x = inv @ state.root_rhs
-    if stats is not None:
-        stats.level_steps += 1
-        stats.count_blocks(x.shape)
-    xs = [x]
+    xs = [_factor_level(state.root_matrix, tree.depth) @ state.root_rhs]
     for l in range(tree.depth - 2, -1, -1):
-        xs.insert(0, downward_step(state.u_hat[l], state.b_hat[l], xs[0],
-                                   tree.splits(l), stats))
+        xs.insert(0, downward_step(state.u_hat[l], state.b_hat[l], xs[0], tree.splits(l)))
     return TreeVector(tuple(xs))
 
 
-def solve(params: LevelParams, tree: TreeTopology, u: TreeVector, *,
-          rtol: float = PIVOT_RTOL) -> TreeVector:
+def solve(params: LevelParams, tree: TreeTopology, u: TreeVector) -> TreeVector:
     """Solve the block tree system for ``u``; returns x shaped like ``u``.
 
     Raises :class:`SingularBlockError` (naming the 1-based level and node)
     when a diagonal pivot block degenerates during elimination.
     """
-    return downward_sweep(upward_sweep(params, tree, u, rtol=rtol), tree,
-                          rtol=rtol)
+    return downward_sweep(upward_sweep(params, tree, u), tree)
 
 
-def solve_with_stats(params: LevelParams, tree: TreeTopology, u: TreeVector, *,
-                     rtol: float = PIVOT_RTOL):
-    """Like :func:`solve`, also returning operation counters."""
-    stats = SolveStats()
-    state = upward_sweep(params, tree, u, rtol=rtol, stats=stats)
-    x = downward_sweep(state, tree, rtol=rtol, stats=stats)
-    return x, stats
+def solve_with_stats(params: LevelParams, tree: TreeTopology, u: TreeVector):
+    """Like :func:`solve`, also returning operation counters.
+
+    They are read off the retained state.  Each non-root level took an upward
+    and a downward step: three block ops per parameter block (inverse, b_hat,
+    A message) and per right-part block (u_hat, u message, back-substitution).
+    The root adds an inverse and a product.
+    """
+    state = upward_sweep(params, tree, u)
+    x = downward_sweep(state, tree)
+
+    def lead(a):
+        return int(np.prod(a.shape[:-2], dtype=np.int64))
+
+    return x, SolveStats(
+        level_steps=2 * len(state.b_hat) + 1,
+        block_ops=sum(3 * (lead(b) + lead(v)) for b, v in zip(state.b_hat, state.u_hat))
+        + lead(state.root_matrix) + lead(state.root_rhs),
+        aux_floats=sum(b.size + v.size for b, v in zip(state.b_hat, state.u_hat)),
+    )
 
 
 def transpose_params(params: LevelParams) -> LevelParams:
@@ -238,27 +219,25 @@ def transpose_params(params: LevelParams) -> LevelParams:
     )
 
 
-def solve_transpose(params: LevelParams, tree: TreeTopology, g: TreeVector, *,
-                    rtol: float = PIVOT_RTOL) -> TreeVector:
+def solve_transpose(params: LevelParams, tree: TreeTopology, g: TreeVector) -> TreeVector:
     """Solve the transposed system for a cotangent-shaped right part g."""
-    return solve(transpose_params(params), tree, g, rtol=rtol)
+    return solve(transpose_params(params), tree, g)
 
 
 def vjp(params: LevelParams, tree: TreeTopology, u: TreeVector, x: TreeVector,
-        g: TreeVector, *, rtol: float = PIVOT_RTOL):
+        g: TreeVector):
     """Pull a cotangent of the solution back onto the right part and every block.
 
     Given x = solve(params, tree, u) and g = dL/dx, one transpose solve gives
     y = dL/du; the block cotangents are minus the outer products of y's block
     row with x's block column, summed over batch and right-part columns:
     dL/dA_v = -y_v x_v^T, dL/dB_v = -y_v x_{parent}^T, dL/dC_v = -y_{parent} x_v^T.
-    Nothing is recomputed beyond the single transpose solve.
+    Nothing is recomputed beyond the single transpose solve, which validates g.
     """
     _validate(params, tree, u)
-    _validate(params, tree, g)
     if x.node_counts != u.node_counts or x.block_sizes != u.block_sizes:
         raise ValueError("cached solution does not match the right part's structure")
-    y = solve_transpose(params, tree, g, rtol=rtol)
+    y = solve_transpose(params, tree, g)
     grad_A, grad_B, grad_C = [], [], []
     for l in range(tree.depth):
         grad_A.append(-np.einsum("bhnir,bhnjr->hnij", y.levels[l], x.levels[l]))

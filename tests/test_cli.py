@@ -1,9 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import treesolve
 from treesolve import TreeVector, read_problem, write_problem
 from treesolve.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VERIFY,
                            main)
@@ -57,6 +61,17 @@ class TestGen:
 
     def test_invalid_power_fails(self, tmp_path):
         assert main(gen_args(tmp_path / "p.bin", leaves=10, arity=3)) == EXIT_USAGE
+
+    @pytest.mark.parametrize("flag,value", [("block-size", 0), ("gamma", "nan")])
+    def test_bad_init_is_one_line_error(self, tmp_path, flag, value):
+        src = os.path.dirname(os.path.dirname(treesolve.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        argv = gen_args(tmp_path / "p.bin", **{flag: value})
+        run = subprocess.run([sys.executable, "-m", "treesolve.cli", *argv],
+                             capture_output=True, text=True, env=env)
+        assert run.returncode == EXIT_USAGE
+        assert "Traceback" not in run.stderr
+        assert run.stderr.startswith("error: ") and run.stderr.count("\n") == 1
 
 
 class TestVerify:

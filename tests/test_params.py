@@ -59,6 +59,16 @@ class TestStableInit:
             np.testing.assert_array_equal(c, -b.swapaxes(-1, -2))
             assert np.max(np.abs(b)) <= gamma / (4 * 2)
 
+    @pytest.mark.parametrize("sizes", [0, -1])
+    def test_rejects_nonpositive_scalar_block_size(self, sizes):
+        with pytest.raises(ValueError, match="block sizes must be positive"):
+            init_random_stable(build_perfect_tree(2, 4), sizes)
+
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf])
+    def test_rejects_non_finite_coupling_scale(self, gamma):
+        with pytest.raises(ValueError, match="coupling scale must be finite"):
+            init_random_stable(build_perfect_tree(2, 4), 1, coupling_scale=gamma)
+
     def test_assembled_system_is_positive_definite(self):
         # binary tree, 4 leaves, d=1, gamma=0.5, seed=7: every eigenvalue of
         # the assembled matrix has positive real part and the symmetric part

@@ -197,6 +197,25 @@ class TestStats:
         _, stats = solve_with_stats(params, tree, u)
         assert stats.level_steps == want == 2 * (tree.depth - 1) + 1
 
+    @pytest.mark.parametrize("tree,sizes", [
+        (build_perfect_tree(2, 1), [3]),
+        (build_chain(5), [2] * 5),
+        (build_perfect_tree(4, 16), [1, 3, 2]),
+        (TreeTopology((2, 2, 1), ((2, 0), (2,))), [2, 1, 3]),
+    ], ids=["single-node", "chain", "quadtree-mixed-d", "irregular-childless"])
+    def test_counter_values(self, tree, sizes):
+        # exact values, not only growth ratios: treesolve bench writes them out
+        heads, batch, cols = 2, 3, 2
+        rng = np.random.default_rng(0)
+        params = random_params(tree, sizes, heads=heads, rng=rng)
+        u = random_rhs(tree, sizes, heads=heads, batch=batch, right_parts=cols, rng=rng)
+        _, stats = solve_with_stats(params, tree, u)
+        n, d = tree.level_sizes, sizes
+        assert stats.level_steps == 2 * (tree.depth - 1) + 1
+        assert stats.block_ops == heads * (1 + batch) * (3 * tree.total_nodes - 2)
+        assert stats.aux_floats == sum(heads * n[l] * d[l] * (d[l + 1] + batch * cols)
+                                       for l in range(tree.depth - 1))
+
     def test_linear_work_and_memory(self):
         ops, aux = [], []
         for leaves in (16, 64, 256, 1024):
