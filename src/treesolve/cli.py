@@ -44,6 +44,9 @@ def _rhs_rng(seed: int) -> np.random.Generator:
 
 
 def cmd_gen(args) -> int:
+    for flag, value in (("batch", args.batch), ("rhs", args.rhs)):
+        if value < 1:
+            raise _UsageError(f"--{flag} must be positive, got {value}")
     tree = build_perfect_tree(args.arity, args.leaves)
     params = init_random_stable(
         tree, block_sizes=args.block_size, heads=args.heads,
@@ -120,10 +123,8 @@ def cmd_bench(args) -> int:
 def cmd_flatten(args) -> int:
     grid = GridShape(args.height, args.width)
     idx = order_indices(grid, args.order)
-    with open(args.out, "w") as f:
-        for y in range(grid.height):
-            for x in range(grid.width):
-                f.write(f"{x} {y} {idx[y, x]}\n")
+    y, x = np.indices(idx.shape)
+    np.savetxt(args.out, np.column_stack([x.ravel(), y.ravel(), idx.ravel()]), fmt="%d")
     print(f"wrote {args.out}: {grid.pixels} pixels in {args.order} order")
     return EXIT_OK
 

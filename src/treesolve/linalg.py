@@ -10,13 +10,14 @@ The solver's hot path uses :func:`invert_blocks` instead: one batched LAPACK
 inverse per stack (an elementwise reciprocal for 1x1 blocks) behind a cheap
 screen that proves no pivot can fall under the threshold.  A stack the
 screen cannot clear is handed to :func:`lu_factor`, which raises exactly
-where it always did.
+where it always did.  :func:`invert_level` applies it to one tree level and
+names the level, node and head of a singular block.
 """
 
 import numpy as np
 
-__all__ = ["PIVOT_RTOL", "SingularBlockError", "invert_blocks", "lu_factor", "lu_solve",
-           "solve_blocks"]
+__all__ = ["PIVOT_RTOL", "SingularBlockError", "invert_blocks", "invert_level", "lu_factor",
+           "lu_solve"]
 
 PIVOT_RTOL = 1e-12
 
@@ -25,8 +26,8 @@ class SingularBlockError(np.linalg.LinAlgError):
     """A diagonal block has no usable pivot.
 
     ``block_index`` locates the offending block within the stack's leading
-    axes.  The tree solver fills in ``level``/``node``/``head`` (all 1-based)
-    when the block belongs to a level array.
+    axes.  :func:`invert_level` fills in ``level``/``node``/``head`` (all
+    1-based) when the block belongs to a level array.
     """
 
     def __init__(self, block_index: tuple, pivot_step: int):
@@ -139,7 +140,16 @@ def invert_blocks(a: np.ndarray) -> np.ndarray:
     return inv
 
 
-def solve_blocks(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """One-shot blockwise solve, factoring ``a`` on the fly."""
-    lu, perm = lu_factor(a)
-    return lu_solve(lu, perm, b)
+def invert_level(a: np.ndarray, level: int) -> np.ndarray:
+    """:func:`invert_blocks` on one level's (heads, nodes, d, d) blocks.
+
+    A :class:`SingularBlockError` names the given 1-based ``level`` and the
+    1-based node and head of the offending block.
+    """
+    try:
+        return invert_blocks(a)
+    except SingularBlockError as e:
+        e.level = level
+        e.head = e.block_index[0] + 1
+        e.node = e.block_index[1] + 1
+        raise

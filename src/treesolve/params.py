@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .linalg import lu_factor, lu_solve
+from .linalg import invert_level, lu_factor, lu_solve
 from .topology import TreeTopology
 
 __all__ = [
@@ -218,6 +218,8 @@ def init_random_stable(tree: TreeTopology, block_sizes=1, heads: int = 1,
     """
     if not (np.isfinite(coupling_scale) and coupling_scale >= 0):
         raise ValueError(f"coupling scale must be finite and nonnegative, got {coupling_scale}")
+    if heads < 1:
+        raise ValueError(f"heads must be positive, got {heads}")
     sizes = _block_size_list(block_sizes, tree.depth)
     rng = np.random.default_rng(seed)
     A = tuple(
@@ -235,15 +237,14 @@ def init_random_stable(tree: TreeTopology, block_sizes=1, heads: int = 1,
     return LevelParams(A, tuple(B), tuple(C))
 
 
-def _as_gauge_levels(gauge, params: LevelParams) -> list[np.ndarray]:
+def _as_gauge_levels(gauge, shapes) -> list[np.ndarray]:
     levels = [np.asarray(g, dtype=np.float64) for g in gauge]
-    if len(levels) != params.depth:
-        raise ValueError(f"expected {params.depth} gauge levels, got {len(levels)}")
-    for l, g in enumerate(levels):
-        if g.shape != params.A[l].shape:
+    if len(levels) != len(shapes):
+        raise ValueError(f"expected {len(shapes)} gauge levels, got {len(levels)}")
+    for l, (g, shape) in enumerate(zip(levels, shapes)):
+        if g.shape != shape:
             raise ValueError(
-                f"gauge blocks at level {l + 1} have shape {g.shape}, "
-                f"expected {params.A[l].shape}"
+                f"gauge blocks at level {l + 1} have shape {g.shape}, expected {shape}"
             )
     return levels
 
@@ -258,38 +259,20 @@ def apply_gauge(params: LevelParams, tree: TreeTopology, gauge) -> LevelParams:
     original solution exactly.
     """
     params.validate_for(tree)
-    levels = _as_gauge_levels(gauge, params)
-    factors = []
-    for l, g in enumerate(levels):
-        try:
-            factors.append(lu_factor(g))
-        except np.linalg.LinAlgError as e:
-            if hasattr(e, "block_index") and e.block_index:
-                e.level = l + 1
-                e.head = e.block_index[0] + 1
-                e.node = e.block_index[1] + 1
-            raise
-    A = [lu_solve(lu, p, a) for (lu, p), a in zip(factors, params.A)]
-    B, C = [], []
-    for l in range(params.depth - 1):
-        lu, p = factors[l]
-        B.append(lu_solve(lu, p, params.B[l]))
-        parent = tree.parent_indices(l)
-        lu_up, p_up = factors[l + 1]
-        C.append(lu_solve(lu_up[:, parent], p_up[:, parent], params.C[l]))
-    return LevelParams(tuple(A), tuple(B), tuple(C))
+    levels = _as_gauge_levels(gauge, [a.shape for a in params.A])
+    inv = [invert_level(g, l + 1) for l, g in enumerate(levels)]
+    A = tuple(i @ a for i, a in zip(inv, params.A))
+    B = tuple(inv[l] @ b for l, b in enumerate(params.B))
+    C = tuple(inv[l + 1][:, tree.parent_indices(l)] @ c for l, c in enumerate(params.C))
+    return LevelParams(A, B, C)
 
 
 def scale_rhs(u: TreeVector, gauge) -> TreeVector:
     """Apply the same per-node row scaling to a right-hand side: u_v -> D_v^{-1} u_v."""
-    levels = [np.asarray(g, dtype=np.float64) for g in gauge]
-    if len(levels) != u.depth:
-        raise ValueError(f"expected {u.depth} gauge levels, got {len(levels)}")
-    out = []
-    for g, v in zip(levels, u.levels):
-        lu, p = lu_factor(g)
-        out.append(lu_solve(lu, p, v))
-    return TreeVector(tuple(out))
+    shapes = [(u.heads, n, d, d) for n, d in zip(u.node_counts, u.block_sizes)]
+    levels = _as_gauge_levels(gauge, shapes)
+    return TreeVector(tuple(invert_level(g, l + 1) @ v
+                            for l, (g, v) in enumerate(zip(levels, u.levels))))
 
 
 def ssm_to_chain(interaction: np.ndarray, input_maps: np.ndarray) -> LevelParams:

@@ -22,7 +22,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .linalg import SingularBlockError, invert_blocks
+from .linalg import invert_level
 from .params import BlockGrads, LevelParams, TreeVector
 from .topology import TreeTopology
 
@@ -85,25 +85,15 @@ class SolveStats(NamedTuple):
 def segment_sum(values: np.ndarray, sizes, axis: int) -> np.ndarray:
     """Sum contiguous groups of ``sizes`` along ``axis``; empty groups give 0."""
     sizes = np.asarray(sizes, dtype=np.int64)
-    if np.all(sizes > 0):
-        starts = np.zeros(len(sizes), dtype=np.int64)
-        starts[1:] = np.cumsum(sizes[:-1])
-        return np.add.reduceat(values, starts, axis=axis)
-    ends = np.cumsum(sizes)
-    csum = np.cumsum(values, axis=axis)
-    zero = np.zeros_like(np.take(csum, [0], axis=axis))
-    csum = np.concatenate([zero, csum], axis=axis)
-    return np.take(csum, ends, axis=axis) - np.take(csum, ends - sizes, axis=axis)
-
-
-def _factor_level(a, level_1b):
-    try:
-        return invert_blocks(a)
-    except SingularBlockError as e:
-        e.level = level_1b
-        e.head = e.block_index[0] + 1
-        e.node = e.block_index[1] + 1
-        raise
+    full = sizes > 0
+    sums = np.add.reduceat(values, (np.cumsum(sizes) - sizes)[full], axis=axis)
+    if full.all():
+        return sums
+    shape = list(values.shape)
+    shape[axis] = len(sizes)
+    out = np.zeros(shape, dtype=sums.dtype)
+    np.moveaxis(out, axis, 0)[full] = np.moveaxis(sums, axis, 0)
+    return out
 
 
 def upward_step(carry: LevelData, parent: LevelData, split, *, child_level: int = 0):
@@ -117,7 +107,7 @@ def upward_step(carry: LevelData, parent: LevelData, split, *, child_level: int 
     """
     if carry.B is None or carry.C is None:
         raise ValueError("upward_step needs a child level with parent couplings")
-    inv = _factor_level(carry.A, child_level + 1)
+    inv = invert_level(carry.A, child_level + 1)
     b_hat = -(inv @ carry.B)
     u_hat = inv @ carry.u
     a_new = parent.A + segment_sum(carry.C @ b_hat, split, axis=1)
@@ -173,7 +163,7 @@ def upward_sweep(params: LevelParams, tree: TreeTopology, u: TreeVector) -> Solv
 
 def downward_sweep(state: SolveState, tree: TreeTopology) -> TreeVector:
     """Solve the root system and back-substitute down to the leaves."""
-    xs = [_factor_level(state.root_matrix, tree.depth) @ state.root_rhs]
+    xs = [invert_level(state.root_matrix, tree.depth) @ state.root_rhs]
     for l in range(tree.depth - 2, -1, -1):
         xs.insert(0, downward_step(state.u_hat[l], state.b_hat[l], xs[0], tree.splits(l)))
     return TreeVector(tuple(xs))

@@ -170,51 +170,50 @@ def _check_coords(x: int, y: int, grid: GridShape) -> None:
         )
 
 
+def _morton(x, y, grid: GridShape):
+    """1-based Z-order position for integer scalars or arrays of columns x and rows y."""
+    if not grid.is_pow2_square():
+        raise ValueError(
+            f"Morton order requires a square power-of-two grid, got {grid.height}x{grid.width}"
+        )
+    code = x & 0  # stays an array for array input on a 1x1 grid, which has no bits
+    for bit in range(grid.width.bit_length() - 1):
+        code |= ((x >> bit) & 1) << (2 * bit) | ((y >> bit) & 1) << (2 * bit + 1)
+    return code + 1
+
+
+def _snake(x, y, grid: GridShape):
+    """1-based boustrophedon position for integer scalars or arrays."""
+    return y * grid.width + 1 + x + (y % 2) * (grid.width - 1 - 2 * x)
+
+
+_ORDERS = {"morton": _morton, "snake": _snake}
+
+
 def morton_index(x: int, y: int, grid: GridShape) -> int:
     """1-based Z-order position of pixel (column x, row y).
 
     Bits of x and y are interleaved with x contributing the lower bit of each
     pair; on a 4x4 grid this is (x mod 2) + 2(y mod 2) + 4(x//2) + 8(y//2) + 1.
     """
-    if not grid.is_pow2_square():
-        raise ValueError(
-            f"Morton order requires a square power-of-two grid, got {grid.height}x{grid.width}"
-        )
     _check_coords(x, y, grid)
-    code = 0
-    bit = 0
-    xx, yy = int(x), int(y)
-    while xx or yy:
-        code |= (xx & 1) << (2 * bit)
-        code |= (yy & 1) << (2 * bit + 1)
-        xx >>= 1
-        yy >>= 1
-        bit += 1
-    return code + 1
+    return _morton(int(x), int(y), grid)
 
 
 def snake_index(x: int, y: int, grid: GridShape) -> int:
     """1-based boustrophedon position: even rows run left to right, odd rows reversed."""
     _check_coords(x, y, grid)
-    if y % 2 == 0:
-        return y * grid.width + x + 1
-    return y * grid.width + (grid.width - x)
-
-
-_ORDER_FNS = {"morton": morton_index, "snake": snake_index}
+    return _snake(int(x), int(y), grid)
 
 
 def order_indices(grid: GridShape, order: str) -> np.ndarray:
     """(height, width) array of 1-based positions under the given order."""
     try:
-        fn = _ORDER_FNS[order]
+        formula = _ORDERS[order]
     except KeyError:
-        raise ValueError(f"unknown order {order!r}, expected one of {sorted(_ORDER_FNS)}")
-    out = np.empty((grid.height, grid.width), dtype=np.int64)
-    for y in range(grid.height):
-        for x in range(grid.width):
-            out[y, x] = fn(x, y, grid)
-    return out
+        raise ValueError(f"unknown order {order!r}, expected one of {sorted(_ORDERS)}")
+    y, x = np.indices((grid.height, grid.width), dtype=np.int64)
+    return formula(x, y, grid)
 
 
 def flatten_image(image: np.ndarray, order: str = "morton") -> np.ndarray:

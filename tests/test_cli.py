@@ -62,7 +62,8 @@ class TestGen:
     def test_invalid_power_fails(self, tmp_path):
         assert main(gen_args(tmp_path / "p.bin", leaves=10, arity=3)) == EXIT_USAGE
 
-    @pytest.mark.parametrize("flag,value", [("block-size", 0), ("gamma", "nan")])
+    @pytest.mark.parametrize("flag,value", [("block-size", 0), ("gamma", "nan"), ("heads", -1),
+                                            ("batch", -1), ("rhs", -2)])
     def test_bad_init_is_one_line_error(self, tmp_path, flag, value):
         src = os.path.dirname(os.path.dirname(treesolve.__file__))
         env = dict(os.environ, PYTHONPATH=src)
@@ -72,6 +73,8 @@ class TestGen:
         assert run.returncode == EXIT_USAGE
         assert "Traceback" not in run.stderr
         assert run.stderr.startswith("error: ") and run.stderr.count("\n") == 1
+        quantity = {"block-size": "block size", "gamma": "coupling scale"}.get(flag, flag)
+        assert quantity in run.stderr
 
 
 class TestVerify:

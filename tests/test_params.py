@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from treesolve import (LevelParams, TreeVector, apply_gauge, assemble_dense,
-                       build_chain, build_perfect_tree, init_random_stable,
-                       scale_rhs, solve, ssm_reference, ssm_to_chain)
+from treesolve import (LevelParams, SingularBlockError, TreeVector, apply_gauge,
+                       assemble_dense, build_chain, build_perfect_tree,
+                       init_random_stable, scale_rhs, solve, ssm_reference,
+                       ssm_to_chain)
 from helpers import random_rhs, rel_err
 
 
@@ -122,6 +123,17 @@ class TestGauge:
         gauge[1][0, 1] = 0.0
         with pytest.raises(np.linalg.LinAlgError):
             apply_gauge(params, tree, gauge)
+
+    def test_singular_gauge_block_is_located(self):
+        tree = build_perfect_tree(2, 4)
+        params = init_random_stable(tree, 2, heads=2, seed=3)
+        u = random_rhs(tree, 2, heads=2, rng=np.random.default_rng(0))
+        gauge = [np.broadcast_to(np.eye(2), a.shape).copy() for a in params.A]
+        gauge[1][1, 1] = 0.0
+        for transform in (lambda: apply_gauge(params, tree, gauge),
+                          lambda: scale_rhs(u, gauge)):
+            with pytest.raises(SingularBlockError, match="level 2, node 2, head 2"):
+                transform()
 
 
 class TestSsmConversion:

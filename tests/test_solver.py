@@ -371,3 +371,17 @@ def test_segment_sum_with_empty_groups():
     x = np.arange(5.0)
     np.testing.assert_array_equal(segment_sum(x, [2, 0, 3], axis=0), [1.0, 0.0, 9.0])
     np.testing.assert_array_equal(segment_sum(x, [0, 5], axis=0), [0.0, 10.0])
+    np.testing.assert_array_equal(segment_sum(x, [2, 3, 0], axis=0), [1.0, 9.0, 0.0])
+    np.testing.assert_array_equal(segment_sum(x, [0, 0, 5, 0], axis=0), [0.0, 0.0, 10.0, 0.0])
+    # an empty group must not send the other groups through prefix-sum differences
+    v = np.array([1e8, -1e8 + 1, 1e8, 3, 1e-3, 2e-3])
+    got = segment_sum(v, [3, 0, 3], axis=0)
+    want = [np.sum(v[:3]), 0.0, np.sum(v[3:])]
+    np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+    y = np.random.default_rng(0).standard_normal((2, 3, 7, 4, 1))
+    sizes = [0, 3, 0, 4, 0]
+    got = segment_sum(y, sizes, axis=2)
+    starts = np.cumsum(sizes) - sizes
+    want = np.stack([y[:, :, s:s + n].sum(axis=2) for s, n in zip(starts, sizes)], axis=2)
+    assert got.shape == (2, 3, 5, 4, 1)
+    np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)

@@ -127,6 +127,31 @@ class TestOrders:
                     assert (vals == np.arange(vals[0], vals[0] + block * block)).all()
             block *= 2
 
+    @pytest.mark.parametrize("k", range(9))
+    def test_morton_matches_quadrant_construction(self, k):
+        # reshaping 0..N-1 into 2k binary axes (most significant bit first) and
+        # moving the even axes (y bits) before the odd ones (x bits) lays out Z order
+        side = 2 ** k
+        axes = list(range(0, 2 * k, 2)) + list(range(1, 2 * k, 2))
+        want = np.arange(side * side).reshape((2,) * 2 * k).transpose(axes).reshape(side, side)
+        np.testing.assert_array_equal(order_indices(GridShape(side, side), "morton"), want + 1)
+
+    @pytest.mark.parametrize("h,w", [(1, 1), (1, 6), (5, 1), (2, 3), (7, 5), (4, 9)])
+    def test_snake_reverses_odd_rows(self, h, w):
+        want = np.arange(h * w).reshape(h, w) + 1
+        want[1::2] = want[1::2, ::-1]
+        np.testing.assert_array_equal(order_indices(GridShape(h, w), "snake"), want)
+
+    @pytest.mark.parametrize("order,h,w", [("morton", 8, 8), ("snake", 8, 8), ("snake", 3, 5)])
+    def test_scalar_index_matches_array(self, order, h, w):
+        grid = GridShape(h, w)
+        scalar = {"morton": morton_index, "snake": snake_index}[order]
+        idx = order_indices(grid, order)
+        for y in range(h):
+            for x in range(w):
+                got = scalar(x, y, grid)
+                assert type(got) is int and got == idx[y, x]
+
     def test_flatten_image_matches_indices(self):
         rng = np.random.default_rng(0)
         img = rng.standard_normal((4, 4, 3))
