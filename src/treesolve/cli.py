@@ -34,6 +34,18 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _bounded(kind, low, strict=False):
+    """argparse ``type=``: a finite ``kind`` value at least ``low`` (above it if ``strict``)."""
+    def parse(text):
+        value = kind(text)
+        if not np.isfinite(value) or value < low or (strict and value == low):
+            raise argparse.ArgumentTypeError(
+                f"must be finite and {'>' if strict else '>='} {low}, got {text}")
+        return value
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
 def _ones_like(u: TreeVector) -> TreeVector:
     return TreeVector(tuple(np.ones_like(v) for v in u.levels))
 
@@ -44,9 +56,6 @@ def _rhs_rng(seed: int) -> np.random.Generator:
 
 
 def cmd_gen(args) -> int:
-    for flag, value in (("batch", args.batch), ("rhs", args.rhs)):
-        if value < 1:
-            raise _UsageError(f"--{flag} must be positive, got {value}")
     tree = build_perfect_tree(args.arity, args.leaves)
     params = init_random_stable(
         tree, block_sizes=args.block_size, heads=args.heads,
@@ -66,12 +75,8 @@ def cmd_gen(args) -> int:
 
 def cmd_verify(args) -> int:
     tree, params, u = read_problem(args.infile)
-    if tree.total_nodes > args.max_dense:
-        raise _UsageError(
-            f"problem has {tree.total_nodes} nodes, over the dense cap {args.max_dense}"
-        )
-    x = solve(params, tree, u)
     system = assemble_dense(params, tree, max_nodes=args.max_dense)
+    x = solve(params, tree, u)
     x_ref = system.solve(u)
     scale = max(x_ref.max_abs(), np.finfo(np.float64).tiny)
     discrepancy = (x - x_ref).max_abs() / scale
@@ -100,8 +105,7 @@ def cmd_bench(args) -> int:
             for n in tree.level_sizes
         ))
         best = np.inf
-        stats = None
-        for _ in range(max(1, args.repeats)):
+        for _ in range(args.repeats):
             t0 = time.perf_counter()
             _, stats = solve_with_stats(params, tree, u)
             best = min(best, time.perf_counter() - t0)
@@ -131,8 +135,7 @@ def cmd_flatten(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     tree, params, u = read_problem(args.infile)
-    n_entries = (sum(a.size for a in params.A) + sum(b.size for b in params.B)
-                 + sum(c.size for c in params.C) + sum(v.size for v in u.levels))
+    n_entries = sum(a.size for a in params.A + params.B + params.C + u.levels)
     if n_entries > args.max_entries:
         raise _UsageError(
             f"{n_entries} differentiable entries exceed the gradcheck cap "
@@ -146,16 +149,10 @@ def cmd_gradcheck(args) -> int:
 
     fd_u, fd_grads = finite_diff_grad(params, tree, u, total, eps=args.eps)
 
-    def rel(a, b):
-        return np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), 1.0)
-
-    worst = 0.0
-    for got, want in zip(
-        list(grads.A) + list(grads.B) + list(grads.C) + list(grad_u.levels),
-        list(fd_grads.A) + list(fd_grads.B) + list(fd_grads.C) + list(fd_u.levels),
-    ):
-        if got.size:
-            worst = max(worst, float(np.max(rel(got, want))))
+    got, want = (np.concatenate([a.ravel() for a in g.A + g.B + g.C + v.levels])
+                 for g, v in ((grads, grad_u), (fd_grads, fd_u)))
+    scale = np.maximum(np.maximum(np.abs(got), np.abs(want)), 1.0)
+    worst = float(np.max(np.abs(got - want) / scale, initial=0.0))
     ok = worst < args.tol
     print(f"max relative error vs central differences (eps {args.eps:g}): {worst:.3e}")
     print(f"{'PASS' if ok else 'FAIL'} at tolerance {args.tol:g}")
@@ -172,27 +169,27 @@ def _build_parser() -> _Parser:
     gen.add_argument("--leaves", type=int, required=True)
     gen.add_argument("--block-size", type=int, default=1)
     gen.add_argument("--heads", type=int, default=1)
-    gen.add_argument("--batch", type=int, default=1)
-    gen.add_argument("--rhs", type=int, default=1)
+    gen.add_argument("--batch", type=_bounded(int, 1), default=1)
+    gen.add_argument("--rhs", type=_bounded(int, 1), default=1)
     gen.add_argument("--gamma", type=float, default=0.5,
                      help="coupling scale of the stable initialization")
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=_bounded(int, 0), default=0)
     gen.add_argument("--out", required=True)
     gen.set_defaults(func=cmd_gen)
 
     verify = sub.add_parser("verify", help="compare the tree solve against the dense oracle")
     verify.add_argument("--in", dest="infile", required=True)
     verify.add_argument("--max-dense", type=int, default=4096)
-    verify.add_argument("--tol", type=float, default=1e-10)
+    verify.add_argument("--tol", type=_bounded(float, 0), default=1e-10)
     verify.set_defaults(func=cmd_verify)
 
     bench = sub.add_parser("bench", help="time solves and dump operation counters")
     bench.add_argument("--arity", type=int, required=True)
     bench.add_argument("--block-size", type=int, default=1)
     bench.add_argument("--sizes", required=True, help="comma-separated leaf counts")
-    bench.add_argument("--repeats", type=int, default=3,
+    bench.add_argument("--repeats", type=_bounded(int, 1), default=3,
                        help="timings per size; the best is reported")
-    bench.add_argument("--seed", type=int, default=0)
+    bench.add_argument("--seed", type=_bounded(int, 0), default=0)
     bench.add_argument("--out", required=True, help="CSV output path")
     bench.set_defaults(func=cmd_bench)
 
@@ -206,8 +203,8 @@ def _build_parser() -> _Parser:
     gradcheck = sub.add_parser("gradcheck",
                                help="compare adjoint gradients with finite differences")
     gradcheck.add_argument("--in", dest="infile", required=True)
-    gradcheck.add_argument("--eps", type=float, default=1e-5)
-    gradcheck.add_argument("--tol", type=float, default=1e-5)
+    gradcheck.add_argument("--eps", type=_bounded(float, 0, strict=True), default=1e-5)
+    gradcheck.add_argument("--tol", type=_bounded(float, 0), default=1e-5)
     gradcheck.add_argument("--max-entries", type=int, default=10_000)
     gradcheck.set_defaults(func=cmd_gradcheck)
     return parser

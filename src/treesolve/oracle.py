@@ -252,8 +252,8 @@ def finite_diff_grad(params: LevelParams, tree: TreeTopology, u: TreeVector,
     cost grows quadratically with the entry count; intended for small trees.
     Returns (grad_u, BlockGrads).
     """
-    if eps <= 0:
-        raise ValueError(f"step must be positive, got {eps}")
+    if not (np.isfinite(eps) and eps > 0):
+        raise ValueError(f"step must be positive and finite, got {eps}")
 
     def central(build):
         # build(t) returns (params, u) with one entry shifted by t

@@ -13,7 +13,7 @@ Parameter containers are immutable: all transforms return new values.
 """
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -169,9 +169,6 @@ class TreeVector:
 
     def max_abs(self) -> float:
         return max(float(np.max(np.abs(v))) if v.size else 0.0 for v in self.levels)
-
-    def map(self, fn: Callable[[np.ndarray], np.ndarray]) -> "TreeVector":
-        return TreeVector(tuple(fn(v) for v in self.levels))
 
     def __add__(self, other: "TreeVector") -> "TreeVector":
         return TreeVector(tuple(a + b for a, b in zip(self.levels, other.levels)))

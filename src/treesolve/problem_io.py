@@ -3,11 +3,12 @@
 Layout: one JSON header line, then a single contiguous little-endian float64
 payload.  The header carries
 ``{"format_version", "tree", "block_sizes", "heads", "batch", "right_parts"}``
-where ``tree`` is either ``{"arity", "leaf_count"}`` for perfect trees or
-``{"level_sizes", "split_sizes"}`` (leaf level first).  The payload holds the
-A arrays for levels 1..D, then B for levels 1..D-1, then C for levels
-1..D-1, then the right parts for levels 1..D, each array in C order with the
-shapes documented in :mod:`treesolve.params`.  Floats round-trip bit for bit.
+where ``tree`` is ``{"arity", "leaf_count"}`` when every split is one
+``arity >= 2`` and ``{"level_sizes", "split_sizes"}`` (leaf level first)
+otherwise.  The payload holds the A arrays for levels 1..D, then B for levels
+1..D-1, then C for levels 1..D-1, then the right parts for levels 1..D, each
+array in C order with the shapes documented in :mod:`treesolve.params`.
+Floats round-trip bit for bit.
 """
 
 import json
@@ -24,8 +25,10 @@ _DTYPE = np.dtype("<f8")
 
 
 def _tree_header(tree: TreeTopology) -> dict:
-    if tree.arity is not None:
-        return {"arity": tree.arity, "leaf_count": tree.level_sizes[0]}
+    # a tree whose every split is one k >= 2 is build_perfect_tree(k, leaf count)
+    arities = {s for grp in tree.split_sizes for s in grp}
+    if len(arities) == 1 and min(arities) >= 2:
+        return {"arity": arities.pop(), "leaf_count": tree.level_sizes[0]}
     return {
         "level_sizes": list(tree.level_sizes),
         "split_sizes": [list(grp) for grp in tree.split_sizes],

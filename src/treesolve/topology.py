@@ -60,14 +60,10 @@ class TreeTopology:
         entries sum to ``level_sizes[l]``.  Children of a common parent are
         contiguous by construction; the representation cannot express
         anything else.
-    arity : int | None
-        Set when the tree was built as a perfect k-ary tree (used for the
-        compact file-format encoding), None otherwise.
     """
 
     level_sizes: tuple[int, ...]
     split_sizes: tuple[tuple[int, ...], ...]
-    arity: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "level_sizes", tuple(int(n) for n in self.level_sizes))
@@ -139,7 +135,7 @@ def build_perfect_tree(arity: int, leaf_count: int) -> TreeTopology:
         n //= arity
         sizes.append(n)
     splits = tuple(tuple([arity] * sizes[l + 1]) for l in range(len(sizes) - 1))
-    return TreeTopology(tuple(sizes), splits, arity=arity)
+    return TreeTopology(tuple(sizes), splits)
 
 
 def build_quadtree(grid: GridShape) -> TreeTopology:
@@ -237,25 +233,17 @@ def dfs_postorder_perm(tree: TreeTopology) -> np.ndarray:
     """Map BFS node index to depth-first post-order position (both 0-based).
 
     Every node is placed after all nodes of its subtree; subtrees are visited
-    in breadth-first child order.  For a chain this is the identity.
+    in breadth-first child order.  For a chain this is the identity.  Subtree
+    sizes are summed bottom-up and positions handed down, a level at a time.
     """
-    offsets = tree.level_offsets()
-    child_starts = [
-        np.concatenate([[0], np.cumsum(grp)]) for grp in tree.split_sizes
-    ]
-    perm = np.empty(tree.total_nodes, dtype=np.int64)
-    counter = 0
-    # stack entries: (level, index within level, next child slot)
-    stack = [(tree.depth - 1, 0, 0)]
-    while stack:
-        level, idx, cursor = stack[-1]
-        n_children = tree.split_sizes[level - 1][idx] if level > 0 else 0
-        if cursor < n_children:
-            stack[-1] = (level, idx, cursor + 1)
-            child = int(child_starts[level - 1][idx]) + cursor
-            stack.append((level - 1, child, 0))
-        else:
-            stack.pop()
-            perm[offsets[level] + idx] = counter
-            counter += 1
-    return perm
+    sizes = [np.ones(tree.level_sizes[0], dtype=np.int64)]
+    for l in range(tree.depth - 1):
+        below = np.bincount(tree.parent_indices(l), sizes[l], tree.level_sizes[l + 1])
+        sizes.append(1 + below.astype(np.int64))
+    perms = [np.array([tree.total_nodes - 1], dtype=np.int64)]
+    for l in range(tree.depth - 2, -1, -1):
+        # child c of p sits at first(p) - 1 + the sizes of c and its earlier siblings;
+        # the level-wide cumsum adds the subtrees under earlier parents, `before` removes them
+        before = perms[0] - np.cumsum(sizes[l + 1] - 1) - 1
+        perms.insert(0, np.repeat(before, tree.splits(l)) + np.cumsum(sizes[l]))
+    return np.concatenate(perms)

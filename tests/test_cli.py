@@ -224,6 +224,37 @@ class TestGradcheck:
 
 
 class TestUsage:
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--tol", "nan"],
+        ["verify", "--tol", "-1"],
+        ["gradcheck", "--eps", "nan"],
+        ["gradcheck", "--eps", "inf"],
+        ["gradcheck", "--eps", "0"],
+        ["gradcheck", "--tol", "nan"],
+        ["gen", "--seed", "-1"],
+        ["bench", "--repeats", "0"],
+        ["bench", "--seed", "-1"],
+    ], ids=lambda argv: "-".join(argv))
+    def test_bad_flag_is_one_line_error(self, tmp_path, argv):
+        problem = tmp_path / "p.bin"
+        assert main(gen_args(problem, leaves=4)) == EXIT_OK
+        command, flag, value = argv
+        if command == "gen":
+            full = gen_args(tmp_path / "q.bin", **{flag[2:]: value})
+        elif command == "bench":
+            full = ["bench", "--arity", "2", "--sizes", "4", flag, value,
+                    "--out", str(tmp_path / "b.csv")]
+        else:
+            full = [command, "--in", str(problem), flag, value]
+        src = os.path.dirname(os.path.dirname(treesolve.__file__))
+        run = subprocess.run([sys.executable, "-m", "treesolve.cli", *full],
+                             capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=src))
+        assert run.returncode == EXIT_USAGE
+        assert "Traceback" not in run.stderr
+        assert run.stderr.startswith(f"error: argument {flag}: ")
+        assert run.stderr.count("\n") == 1
+
     def test_unknown_flag(self):
         assert main(["gen", "--bogus", "1"]) == EXIT_USAGE
 

@@ -273,3 +273,11 @@ class TestFiniteDifferences:
         u = random_rhs(tree, 1, rng=np.random.default_rng(0))
         with pytest.raises(ValueError):
             finite_diff_grad(params, tree, u, lambda x: 0.0, eps=0.0)
+
+    @pytest.mark.parametrize("eps", [np.nan, np.inf])
+    def test_rejects_non_finite_step(self, eps):
+        tree = build_chain(2)
+        params = init_random_stable(tree, 1, seed=0)
+        u = random_rhs(tree, 1, rng=np.random.default_rng(0))
+        with pytest.raises(ValueError, match="step"):
+            finite_diff_grad(params, tree, u, lambda x: 0.0, eps=eps)

@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from treesolve import (TreeTopology, build_perfect_tree, init_random_stable,
-                       read_problem, write_problem)
+from treesolve import (TreeTopology, build_chain, build_perfect_tree,
+                       init_random_stable, read_problem, write_problem)
 from helpers import random_rhs
 
 
@@ -56,6 +56,44 @@ def test_explicit_tree_header(tmp_path):
     header = json.loads(path.read_bytes().split(b"\n", 1)[0])
     assert header["tree"] == {"level_sizes": [3, 2, 1], "split_sizes": [[2, 1], [2]]}
     assert tree2.split_sizes == tree.split_sizes
+
+
+def test_uniform_explicit_tree_uses_compact_header(tmp_path):
+    tree = TreeTopology((9, 3, 1), ((3, 3, 3), (3,)))
+    params = init_random_stable(tree, 1, seed=0)
+    u = random_rhs(tree, 1, rng=np.random.default_rng(5))
+    path, (tree2, _, _) = roundtrip(tmp_path, tree, params, u)
+    header = json.loads(path.read_bytes().split(b"\n", 1)[0])
+    assert header["tree"] == {"arity": 3, "leaf_count": 9}
+    assert tree2 == tree
+
+
+@pytest.mark.parametrize("tree", [
+    build_perfect_tree(2, 1),
+    build_chain(3),
+    TreeTopology((3, 2, 1), ((2, 1), (2,))),
+], ids=["single-node", "chain", "irregular"])
+def test_non_uniform_trees_use_explicit_header(tmp_path, tree):
+    params = init_random_stable(tree, 1, seed=0)
+    u = random_rhs(tree, 1, rng=np.random.default_rng(6))
+    path, (tree2, _, _) = roundtrip(tmp_path, tree, params, u)
+    header = json.loads(path.read_bytes().split(b"\n", 1)[0])
+    assert header["tree"] == {"level_sizes": list(tree.level_sizes),
+                              "split_sizes": [list(g) for g in tree.split_sizes]}
+    assert tree2 == tree
+
+
+def test_compact_single_node_header_still_reads(tmp_path):
+    # earlier writers gave a one-node perfect tree the compact header
+    header = {"batch": 1, "block_sizes": [2], "format_version": 1, "heads": 1,
+              "right_parts": 1, "tree": {"arity": 2, "leaf_count": 1}}
+    payload = np.arange(6, dtype="<f8")  # A: (1, 1, 2, 2), u: (1, 1, 1, 2, 1)
+    path = tmp_path / "one.bin"
+    path.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + payload.tobytes())
+    tree, params, u = read_problem(path)
+    assert tree == TreeTopology((1,), ())
+    np.testing.assert_array_equal(params.A[0].reshape(-1), [0, 1, 2, 3])
+    np.testing.assert_array_equal(u.levels[0].reshape(-1), [4, 5])
 
 
 def test_truncated_payload_rejected(tmp_path):

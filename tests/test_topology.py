@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,19 @@ SNAKE_4x4 = [
     [9, 10, 11, 12],
     [16, 15, 14, 13],
 ]
+
+
+@st.composite
+def irregular_trees(draw):
+    """Random trees of depth 1..5 with 0..3 children per parent (childless parents too)."""
+    level_sizes, split_sizes = [1], []
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        groups = draw(st.lists(st.integers(min_value=0, max_value=3),
+                               min_size=level_sizes[0], max_size=level_sizes[0])
+                      .filter(lambda g: sum(g) > 0))
+        split_sizes.insert(0, tuple(groups))
+        level_sizes.insert(0, sum(groups))
+    return TreeTopology(tuple(level_sizes), tuple(split_sizes))
 
 
 class TestBuilders:
@@ -65,6 +80,16 @@ class TestBuilders:
         tree = build_chain(5)
         assert tree.level_sizes == (1, 1, 1, 1, 1)
         assert tree.split_sizes == ((1,),) * 4
+
+    def test_equality_is_structural(self):
+        assert [f.name for f in dataclasses.fields(TreeTopology)] == ["level_sizes",
+                                                                     "split_sizes"]
+        explicit = TreeTopology((4, 2, 1), ((2, 2), (2,)))
+        assert build_perfect_tree(2, 4) == explicit
+        assert hash(build_perfect_tree(2, 4)) == hash(explicit)
+        assert build_chain(3) == TreeTopology([1, 1, 1], [[1], [1]])
+        assert build_perfect_tree(2, 1) == build_chain(1) == TreeTopology((1,), ())
+        assert build_perfect_tree(2, 4) != TreeTopology((4, 2, 1), ((3, 1), (2,)))
 
     def test_split_sizes_must_sum(self):
         with pytest.raises(ValueError, match="sum"):
@@ -192,6 +217,38 @@ class TestPostorder:
             child_pos = perm[offsets[l]:offsets[l + 1]]
             parent_pos = perm[offsets[l + 1] + parents]
             assert (parent_pos > child_pos).all()
+
+    @given(irregular_trees())
+    @settings(max_examples=200, deadline=None)
+    def test_subtrees_are_contiguous_property(self, tree):
+        perm = dfs_postorder_perm(tree)
+        n = tree.total_nodes
+        assert sorted(perm.tolist()) == list(range(n))
+        # global BFS index of every node's parent, from parent_indices
+        offsets = tree.level_offsets()
+        parent = {}
+        for l in range(tree.depth - 1):
+            for c, p in enumerate(tree.parent_indices(l)):
+                parent[int(offsets[l] + c)] = int(offsets[l + 1] + p)
+        subtree = {v: [v] for v in range(n)}
+        children = {v: [] for v in range(n)}
+        for v in range(n):
+            if v in parent:
+                children[parent[v]].append(v)  # BFS order is child order
+            a = v
+            while a in parent:
+                a = parent[a]
+                subtree[a].append(v)
+        for v in range(n):
+            size = len(subtree[v])
+            first = int(perm[v]) - size + 1
+            # the subtree fills the positions ending at v ...
+            assert sorted(perm[subtree[v]].tolist()) == list(range(first, first + size))
+            # ... with the children's subtrees one after another in child order
+            for c in children[v]:
+                assert perm[c] - len(subtree[c]) + 1 == first
+                first = int(perm[c]) + 1
+            assert first == perm[v]
 
     def test_irregular_tree(self):
         # level sizes (3, 2, 1); first parent takes two children
