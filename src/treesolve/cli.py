@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from .oracle import assemble_dense, finite_diff_grad
+from .oracle import MAX_DENSE_NODES, assemble_dense, finite_diff_grad
 from .params import TreeVector, init_random_stable
 from .problem_io import read_problem, write_problem
 from .solver import solve, solve_with_stats, vjp
@@ -44,6 +44,14 @@ def _bounded(kind, low, strict=False):
         return value
     parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
     return parse
+
+
+def _sizes(text):
+    """argparse ``type=`` for ``bench --sizes``: comma-separated leaf counts, each >= 1."""
+    return [_bounded(int, 1)(s) for s in text.split(",")]
+
+
+_sizes.__name__ = "int list"
 
 
 def _ones_like(u: TreeVector) -> TreeVector:
@@ -90,11 +98,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",") if s]
-    if not sizes:
-        raise _UsageError("no sizes given")
     rows = []
-    for leaves in sizes:
+    for leaves in args.sizes:
         tree = build_perfect_tree(args.arity, leaves)
         params = init_random_stable(
             tree, block_sizes=args.block_size, seed=args.seed, coupling_scale=0.5
@@ -179,14 +184,14 @@ def _build_parser() -> _Parser:
 
     verify = sub.add_parser("verify", help="compare the tree solve against the dense oracle")
     verify.add_argument("--in", dest="infile", required=True)
-    verify.add_argument("--max-dense", type=int, default=4096)
+    verify.add_argument("--max-dense", type=int, default=MAX_DENSE_NODES)
     verify.add_argument("--tol", type=_bounded(float, 0), default=1e-10)
     verify.set_defaults(func=cmd_verify)
 
     bench = sub.add_parser("bench", help="time solves and dump operation counters")
     bench.add_argument("--arity", type=int, required=True)
     bench.add_argument("--block-size", type=int, default=1)
-    bench.add_argument("--sizes", required=True, help="comma-separated leaf counts")
+    bench.add_argument("--sizes", type=_sizes, required=True, help="comma-separated leaf counts")
     bench.add_argument("--repeats", type=_bounded(int, 1), default=3,
                        help="timings per size; the best is reported")
     bench.add_argument("--seed", type=_bounded(int, 0), default=0)
@@ -222,8 +227,8 @@ def main(argv=None) -> int:
         # SingularBlockError carries the offending level/node in its message
         print(f"numerical failure: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ValueError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as e:
+        print(f"error: {str(e) or type(e).__name__}", file=sys.stderr)
         return EXIT_USAGE
 
 

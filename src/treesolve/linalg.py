@@ -39,12 +39,10 @@ class SingularBlockError(np.linalg.LinAlgError):
         self.head = None
 
     def __str__(self) -> str:
-        if self.level is not None:
-            where = f"level {self.level}, node {self.node}"
-            if self.head is not None:
-                where += f", head {self.head}"
-        else:
+        if self.level is None:
             where = f"block {self.block_index}"
+        else:
+            where = f"level {self.level}, node {self.node}, head {self.head}"
         return f"singular diagonal block at {where} (pivot step {self.pivot_step})"
 
 
@@ -59,34 +57,24 @@ def lu_factor(a: np.ndarray):
     lu = np.array(a, dtype=np.float64)
     if lu.ndim < 2 or lu.shape[-1] != lu.shape[-2]:
         raise ValueError(f"expected a stack of square blocks, got shape {lu.shape}")
-    lead = lu.shape[:-2]
-    d = lu.shape[-1]
-    perm = np.broadcast_to(np.arange(d), lead + (d,)).copy()
+    lead, d = lu.shape[:-2], lu.shape[-1]
+    lu = lu.reshape(-1, d, d)  # one flat stack, so block n's row k is lu[n, k]
+    n = np.arange(len(lu))
+    perm = np.tile(np.arange(d), (len(n), 1))
     scale = np.max(np.abs(lu), axis=(-2, -1))
     for k in range(d):
-        col = np.abs(lu[..., k:, k])
-        rel = np.argmax(col, axis=-1)
-        pivmag = np.take_along_axis(col, rel[..., None], axis=-1)[..., 0]
-        bad = pivmag <= PIVOT_RTOL * scale
-        if np.any(bad):
-            flat = int(np.argmax(bad.reshape(-1)))
-            index = np.unravel_index(flat, lead) if lead else ()
+        col = np.abs(lu[:, k:, k])
+        rel = np.argmax(col, axis=-1)  # the first of equal maxima
+        bad = col[n, rel] <= PIVOT_RTOL * scale
+        if bad.any():
+            index = np.unravel_index(np.argmax(bad), lead)
             raise SingularBlockError(tuple(int(i) for i in index), k)
-        pos = rel + k
-        # swap rows k <-> pos (identity where pos == k), vectorized over the stack
-        pidx = np.broadcast_to(pos[..., None, None], lead + (1, d))
-        row_p = np.take_along_axis(lu, pidx, axis=-2)
-        row_k = lu[..., k : k + 1, :].copy()
-        np.put_along_axis(lu, pidx, row_k, axis=-2)
-        lu[..., k, :] = row_p[..., 0, :]
-        perm_p = np.take_along_axis(perm, pos[..., None], axis=-1)
-        perm_k = perm[..., k].copy()
-        np.put_along_axis(perm, pos[..., None], perm_k[..., None], axis=-1)
-        perm[..., k] = perm_p[..., 0]
-        if k + 1 < d:
-            lu[..., k + 1 :, k] /= lu[..., k, k][..., None]
-            lu[..., k + 1 :, k + 1 :] -= lu[..., k + 1 :, k : k + 1] * lu[..., k : k + 1, k + 1 :]
-    return lu, perm
+        pos = k + rel
+        lu[n, k], lu[n, pos] = lu[n, pos], lu[n, k]
+        perm[n, k], perm[n, pos] = perm[n, pos], perm[n, k]
+        lu[:, k + 1 :, k] /= lu[:, k, k, None]
+        lu[:, k + 1 :, k + 1 :] -= lu[:, k + 1 :, k : k + 1] * lu[:, k : k + 1, k + 1 :]
+    return lu.reshape(lead + (d, d)), perm.reshape(lead + (d,))
 
 
 def lu_solve(lu: np.ndarray, perm: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -101,8 +89,7 @@ def lu_solve(lu: np.ndarray, perm: np.ndarray, b: np.ndarray) -> np.ndarray:
     for i in range(1, d):
         x[..., i, :] -= (lu_b[..., i : i + 1, :i] @ x[..., :i, :])[..., 0, :]
     for i in range(d - 1, -1, -1):
-        if i + 1 < d:
-            x[..., i, :] -= (lu_b[..., i : i + 1, i + 1 :] @ x[..., i + 1 :, :])[..., 0, :]
+        x[..., i, :] -= (lu_b[..., i : i + 1, i + 1 :] @ x[..., i + 1 :, :])[..., 0, :]
         x[..., i, :] /= lu_b[..., i, i][..., None]
     return x
 

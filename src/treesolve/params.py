@@ -17,7 +17,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .linalg import invert_level, lu_factor, lu_solve
+from .linalg import SingularBlockError, invert_level, lu_factor, lu_solve
 from .topology import TreeTopology
 
 __all__ = [
@@ -289,12 +289,8 @@ def ssm_to_chain(interaction: np.ndarray, input_maps: np.ndarray) -> LevelParams
         raise ValueError(f"interaction must be ({L - 1}, {d}, {d}), got {I.shape}")
     try:
         lu, p = lu_factor(S)
-    except np.linalg.LinAlgError as e:
-        if hasattr(e, "block_index") and e.block_index:
-            raise ValueError(
-                f"input map at position {e.block_index[0] + 1} is singular"
-            ) from e
-        raise
+    except SingularBlockError as e:
+        raise ValueError(f"input map at position {e.block_index[0] + 1} is singular") from e
     eye = np.broadcast_to(np.eye(d), (L, d, d))
     A = lu_solve(lu, p, eye)
     sub = -lu_solve(lu[1:], p[1:], I) if L > 1 else np.zeros((0, d, d))

@@ -46,7 +46,8 @@ def _tree_from_header(entry: dict) -> TreeTopology:
 
 def write_problem(path, tree: TreeTopology, params: LevelParams, u: TreeVector) -> None:
     params.validate_for(tree)
-    if u.node_counts != tree.level_sizes or u.block_sizes != params.block_sizes:
+    if (u.node_counts != tree.level_sizes or u.block_sizes != params.block_sizes
+            or u.heads != params.heads):
         raise ValueError("right part does not match the tree/parameter structure")
     header = {
         "format_version": FORMAT_VERSION,

@@ -122,23 +122,24 @@ def downward_step(u_hat: np.ndarray, b_hat: np.ndarray, x_parent: np.ndarray,
     return u_hat + b_hat @ x_up
 
 
-def _validate(params: LevelParams, tree: TreeTopology, u: TreeVector) -> None:
+def _validate(params: LevelParams, tree: TreeTopology, u: TreeVector,
+              what: str = "right part") -> None:
     params.validate_for(tree)
     if u.depth != tree.depth:
-        raise ValueError(f"right part has {u.depth} levels, tree has {tree.depth}")
+        raise ValueError(f"{what} has {u.depth} levels, tree has {tree.depth}")
     if u.heads != params.heads:
-        raise ValueError(f"right part heads {u.heads} != parameter heads {params.heads}")
+        raise ValueError(f"{what} heads {u.heads} != parameter heads {params.heads}")
     if u.node_counts != tree.level_sizes:
         raise ValueError(
-            f"right part node counts {u.node_counts} do not match tree {tree.level_sizes}"
+            f"{what} node counts {u.node_counts} do not match tree {tree.level_sizes}"
         )
     if u.block_sizes != params.block_sizes:
         raise ValueError(
-            f"right part block sizes {u.block_sizes} != parameter blocks {params.block_sizes}"
+            f"{what} block sizes {u.block_sizes} != parameter blocks {params.block_sizes}"
         )
     for l, v in enumerate(u.levels):
         if not np.isfinite(v).all():
-            raise ValueError(f"right part level {l + 1} contains non-finite entries")
+            raise ValueError(f"{what} level {l + 1} contains non-finite entries")
 
 
 def upward_sweep(params: LevelParams, tree: TreeTopology, u: TreeVector) -> SolveState:
@@ -222,11 +223,11 @@ def vjp(params: LevelParams, tree: TreeTopology, u: TreeVector, x: TreeVector,
     y = dL/du; the block cotangents are minus the outer products of y's block
     row with x's block column, summed over batch and right-part columns:
     dL/dA_v = -y_v x_v^T, dL/dB_v = -y_v x_{parent}^T, dL/dC_v = -y_{parent} x_v^T.
-    Nothing is recomputed beyond the single transpose solve, which validates g.
+    u and x are checked like right parts (x may share its batch across several
+    g); nothing is recomputed beyond the single transpose solve, which checks g.
     """
     _validate(params, tree, u)
-    if x.node_counts != u.node_counts or x.block_sizes != u.block_sizes:
-        raise ValueError("cached solution does not match the right part's structure")
+    _validate(params, tree, x, "solution")
     y = solve_transpose(params, tree, g)
     grad_A, grad_B, grad_C = [], [], []
     for l in range(tree.depth):

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 import treesolve
-from treesolve import TreeVector, read_problem, write_problem
+from treesolve import TreeVector, cli, read_problem, write_problem
 from treesolve.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VERIFY,
                            main)
+from treesolve.oracle import MAX_DENSE_NODES
 
 MORTON_4x4 = {
     (0, 0): 1, (1, 0): 2, (2, 0): 5, (3, 0): 6,
@@ -260,3 +261,32 @@ class TestUsage:
 
     def test_missing_file(self):
         assert main(["verify", "--in", "/nonexistent/problem.bin"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("sizes", ["4,x", "4,0", ","])
+    def test_bad_sizes_is_one_line_error(self, tmp_path, sizes):
+        src = os.path.dirname(os.path.dirname(treesolve.__file__))
+        run = subprocess.run([sys.executable, "-m", "treesolve.cli", "bench", "--arity", "2",
+                              "--sizes", sizes, "--out", str(tmp_path / "b.csv")],
+                             capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=src))
+        assert run.returncode == EXIT_USAGE
+        assert "Traceback" not in run.stderr
+        assert run.stderr.startswith("error: argument --sizes: ")
+        assert run.stderr.count("\n") == 1
+        assert not (tmp_path / "b.csv").exists()
+
+    @pytest.mark.parametrize("error, line", [
+        (MemoryError("Unable to allocate 11.9 GiB"), "error: Unable to allocate 11.9 GiB"),
+        (MemoryError(), "error: MemoryError"),
+    ], ids=["message", "bare"])
+    def test_out_of_memory_is_one_line_error(self, tmp_path, capsys, monkeypatch, error, line):
+        def exhausted(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, "init_random_stable", exhausted)
+        assert main(gen_args(tmp_path / "p.bin")) == EXIT_USAGE
+        assert capsys.readouterr().err == line + "\n"
+
+    def test_max_dense_defaults_to_the_oracle_cap(self):
+        args = cli._build_parser().parse_args(["verify", "--in", "p.bin"])
+        assert args.max_dense == MAX_DENSE_NODES

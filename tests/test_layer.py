@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -207,3 +209,28 @@ class TestPermutationConsistency:
                 gathered[morton_index(x, y, grid) - 1] = raster[y * 4 + x]
         x2 = forward(cfg, params, gathered[None])
         assert rel_err(x1, x2) == 0.0
+
+
+_PAIR = build_perfect_tree(2, 2)  # two leaves under one root
+
+
+@pytest.mark.parametrize("call, fragment", [
+    (lambda: LayerConfig(_PAIR, (1,)), "expected 2 block sizes, got 1"),
+    (lambda: LayerConfig(_PAIR, (1, 1), virtual_input="copy"), "virtual-input policy 'copy'"),
+    (lambda: LayerConfig(_PAIR, (1, 2), virtual_input="mean"), "requires a uniform block size"),
+    (lambda: build_input(config_for(_PAIR), np.zeros((3, 1))), "leaf inputs, got (1, 3, 1)"),
+    (lambda: build_input(config_for(_PAIR), np.zeros((1, 2, 2))), "leaf vectors have dim 2"),
+    (lambda: aggregate_topk(TreeVector((np.zeros((1, 1, 2, 1, 1)), np.zeros((1, 1, 1, 2, 1)))),
+                            LayerConfig(_PAIR, (1, 2), top_levels=2)), "mixed block sizes"),
+], ids=["block-size-count", "policy", "mean-mixed-sizes", "leaf-count", "leaf-dim",
+        "aggregate-mixed-sizes"])
+def test_config_and_input_errors(call, fragment):
+    with pytest.raises(ValueError, match=re.escape(fragment)):
+        call()
+
+
+def test_two_dimensional_leaf_input_is_one_batch():
+    config = config_for(_PAIR, d=2, virtual_input="mean")
+    leaf = np.random.default_rng(7).standard_normal((2, 2))
+    for got, want in zip(build_input(config, leaf).levels, build_input(config, leaf[None]).levels):
+        assert np.array_equal(got, want)

@@ -144,3 +144,45 @@ def test_invert_blocks_falls_back_to_lu_when_lapack_refuses(monkeypatch):
     monkeypatch.setattr(np.linalg, "inv", refuse)
     np.testing.assert_allclose(invert_blocks(a) @ a, np.broadcast_to(np.eye(4), a.shape),
                                atol=1e-12)
+
+
+def _reference_lu(block):
+    """Textbook partial-pivoted LU of one block: (lu, perm), or the failing pivot step."""
+    d = len(block)
+    lu, perm = block.copy(), np.arange(d)
+    scale = np.max(np.abs(block))
+    for k in range(d):
+        p = k + int(np.argmax(np.abs(lu[k:, k])))  # the first of equal maxima
+        if abs(lu[p, k]) <= PIVOT_RTOL * scale:
+            return k
+        lu[[k, p]] = lu[[p, k]]
+        perm[[k, p]] = perm[[p, k]]
+        lu[k + 1 :, k] /= lu[k, k]
+        lu[k + 1 :, k + 1 :] -= np.outer(lu[k + 1 :, k], lu[k, k + 1 :])
+    return lu, perm
+
+
+@given(st.integers(min_value=1, max_value=6), st.sampled_from([(), (4,), (2, 3)]),
+       st.integers(min_value=0, max_value=2 ** 32), st.sampled_from(["plain", "round", "near"]))
+@settings(max_examples=300, deadline=None)
+def test_lu_factor_is_the_one_block_lu_bit_for_bit(d, lead, seed, kind):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(lead + (d, d))
+    if kind == "round":  # ties between pivot candidates, exact zeros, singular blocks
+        a = np.round(a)
+    elif kind == "near":  # one block a hair either side of the pivot threshold
+        q1, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        q2, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        sv = np.ones(d)
+        sv[-1] = 10.0 ** rng.uniform(-13, -11)
+        a.reshape(-1, d, d)[rng.integers(a.size // (d * d))] = (q1 * sv) @ q2.T
+    blocks = [_reference_lu(b) for b in a.reshape(-1, d, d)]
+    failed = [(r, n) for n, r in enumerate(blocks) if isinstance(r, int)]
+    if failed:
+        step, n = min(failed)  # the earliest failing step, then the lowest block
+        assert _rejection(lu_factor, a) == (np.unravel_index(n, lead), step)
+        return
+    lu, perm = lu_factor(a)
+    assert perm.dtype == np.int64 and perm.shape == lead + (d,)
+    assert np.array_equal(lu, np.reshape([b[0] for b in blocks], a.shape))
+    assert np.array_equal(perm, np.reshape([b[1] for b in blocks], perm.shape))

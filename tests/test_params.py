@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -173,3 +175,33 @@ class TestSsmConversion:
         S = np.zeros((2, 1, 1))
         with pytest.raises(ValueError, match="singular"):
             ssm_to_chain(np.ones((1, 1, 1)), S)
+
+
+def test_singular_second_input_map_names_its_position():
+    S = np.broadcast_to(np.eye(2), (3, 2, 2)).copy()
+    S[1] = 0.0
+    with pytest.raises(ValueError, match="position 2") as info:
+        ssm_to_chain(np.zeros((2, 2, 2)), S)
+    assert isinstance(info.value.__cause__, SingularBlockError)
+
+
+_PAIR = build_perfect_tree(2, 2)  # two leaves under one root
+
+
+@pytest.mark.parametrize("call, fragment", [
+    (lambda: LevelParams((np.ones((2, 2, 1, 1)), np.ones((1, 1, 1, 1))),
+                         (np.ones((2, 2, 1, 1)),), (np.ones((2, 2, 1, 1)),)), "head count"),
+    (lambda: LevelParams((np.ones((1, 2, 1, 1)), np.ones((1, 1, 2, 2))),
+                         (np.ones((1, 2, 2, 1)),), (np.ones((1, 2, 2, 1)),)), "B[0] shape"),
+    (lambda: LevelParams((np.ones((1, 2, 1, 1)), np.ones((1, 1, 2, 2))),
+                         (np.ones((1, 2, 1, 2)),), (np.ones((1, 2, 1, 2)),)), "C[0] shape"),
+    (lambda: init_random_stable(_PAIR, block_sizes=[1, 1, 1]), "expected 2 block sizes"),
+    (lambda: apply_gauge(init_random_stable(_PAIR), _PAIR, [np.ones((1, 2, 1, 1))]),
+     "expected 2 gauge levels"),
+    (lambda: ssm_to_chain(np.zeros((1, 2, 2)), np.ones((2, 2))), "input maps must be"),
+    (lambda: ssm_to_chain(np.zeros((2, 2, 2)), np.ones((2, 2, 2))), "interaction must be"),
+], ids=["heads", "B-shape", "C-shape", "block-size-count", "gauge-levels", "ssm-maps",
+        "ssm-interaction"])
+def test_shape_errors(call, fragment):
+    with pytest.raises(ValueError, match=re.escape(fragment)):
+        call()

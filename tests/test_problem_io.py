@@ -116,3 +116,32 @@ def test_bad_header_rejected(tmp_path):
     path.write_bytes(json.dumps({"format_version": 99}).encode() + b"\n")
     with pytest.raises(ValueError, match="version"):
         read_problem(path)
+
+
+def test_write_rejects_right_part_with_other_heads(tmp_path):
+    tree = build_perfect_tree(2, 4)
+    params = init_random_stable(tree, 1, heads=2, seed=0)
+    u = random_rhs(tree, 1, heads=1, batch=2, rng=np.random.default_rng(5))
+    with pytest.raises(ValueError, match="does not match"):
+        write_problem(tmp_path / "problem.bin", tree, params, u)
+
+
+def _with_header(path, **changes):
+    header_line, _, payload = path.read_bytes().partition(b"\n")
+    header = json.loads(header_line)
+    header.update(changes)
+    path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+
+
+@pytest.mark.parametrize("changes, fragment", [
+    ({"block_sizes": [1, 1]}, "expected 3 block sizes, got 2"),
+    ({"heads": 0}, "must be positive"),
+], ids=["block-size-count", "zero-heads"])
+def test_header_errors(tmp_path, changes, fragment):
+    tree = build_perfect_tree(2, 4)
+    path = tmp_path / "problem.bin"
+    write_problem(path, tree, init_random_stable(tree, 1, seed=0),
+                  random_rhs(tree, 1, rng=np.random.default_rng(6)))
+    _with_header(path, **changes)
+    with pytest.raises(ValueError, match=fragment):
+        read_problem(path)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -385,3 +387,57 @@ def test_segment_sum_with_empty_groups():
     want = np.stack([y[:, :, s:s + n].sum(axis=2) for s, n in zip(starts, sizes)], axis=2)
     assert got.shape == (2, 3, 5, 4, 1)
     np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+
+
+class TestVjpChecksSolution:
+    def setup_method(self):
+        rng = np.random.default_rng(30)
+        self.tree = build_perfect_tree(2, 4)
+        self.params = random_params(self.tree, 2, heads=2, rng=rng)
+        self.u = random_rhs(self.tree, 2, heads=2, batch=3, rng=rng)
+        self.g = random_rhs(self.tree, 2, heads=2, batch=3, rng=rng)
+        self.x = solve(self.params, self.tree, self.u)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_solution_rejected(self, bad):
+        levels = [v.copy() for v in self.x.levels]
+        levels[0][0, 0, 0, 0, 0] = bad
+        with pytest.raises(ValueError, match="solution level 1 contains non-finite"):
+            vjp(self.params, self.tree, self.u, TreeVector(tuple(levels)), self.g)
+
+    def test_solution_heads_must_match(self):
+        x = TreeVector(tuple(v[:, :1] for v in self.x.levels))
+        with pytest.raises(ValueError, match="solution heads 1 != parameter heads 2"):
+            vjp(self.params, self.tree, self.u, x, self.g)
+
+    def test_batch_one_solution_is_shared_by_every_cotangent(self):
+        x1 = TreeVector(tuple(v[:1] for v in self.x.levels))
+        _, shared = vjp(self.params, self.tree, self.u, x1, self.g)
+        x3 = TreeVector(tuple(np.repeat(v, 3, axis=0) for v in x1.levels))
+        _, repeated = vjp(self.params, self.tree, self.u, x3, self.g)
+        for a, b in zip(shared.A + shared.B + shared.C,
+                        repeated.A + repeated.B + repeated.C):
+            np.testing.assert_allclose(a, b, rtol=1e-13, atol=1e-15)
+
+
+_CHAIN = build_chain(3)
+_CHAIN_PARAMS = init_random_stable(_CHAIN, 1)
+
+
+def _right_part(tree, heads=1):
+    return random_rhs(tree, 1, heads=heads, rng=np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("call, fragment", [
+    (lambda: solve(_CHAIN_PARAMS, _CHAIN, _right_part(build_chain(2))), "2 levels, tree has 3"),
+    (lambda: solve(_CHAIN_PARAMS, _CHAIN, _right_part(_CHAIN, heads=2)),
+     "right part heads 2 != parameter heads 1"),
+    (lambda: solve(_CHAIN_PARAMS, _CHAIN, _right_part(build_perfect_tree(2, 4))),
+     "right part node counts"),
+    (lambda: upward_step(LevelData(_CHAIN_PARAMS.A[2], None, None, np.zeros((1, 1, 1, 1, 1))),
+                         LevelData(_CHAIN_PARAMS.A[2], None, None, np.zeros((1, 1, 1, 1, 1))),
+                         [1]), "needs a child level with parent couplings"),
+], ids=["depth", "heads", "node-counts", "no-couplings"])
+def test_structure_errors(call, fragment):
+    with pytest.raises(ValueError, match=re.escape(fragment)):
+        call()
