@@ -9,41 +9,30 @@ reductions, quadtree and flattening-order utilities, a dense reference
 oracle, and a problem-file CLI.
 """
 
-from .linalg import PIVOT_RTOL, SingularBlockError
-from .layer import (LayerConfig, aggregate_topk, bidirectional_chain_forward,
-                    build_input, forward)
-from .oracle import (BidiagonalFactors, DenseSystem, assemble_dense,
-                     bidiagonal_solve, chain_inverse_entry,
-                     chain_tridiagonal_blocks, dense_solve, finite_diff_grad,
-                     ssm_reference, tridiag_bidiagonal_factor)
-from .params import (BlockGrads, LevelParams, TreeVector, apply_gauge,
-                     init_random_stable, scale_rhs, ssm_to_chain)
-from .problem_io import FORMAT_VERSION, read_problem, write_problem
-from .solver import (LevelData, SolveState, SolveStats, downward_step,
-                     downward_sweep, segment_sum, solve, solve_transpose,
-                     solve_with_stats, transpose_params, upward_step,
-                     upward_sweep, vjp)
-from .topology import (GridShape, TreeTopology, build_chain,
-                       build_perfect_tree, build_quadtree, dfs_postorder_perm,
-                       flatten_image, morton_index, order_indices, snake_index)
+from .linalg import SingularBlockError
+from .layer import LayerConfig, aggregate_topk, forward
+from .oracle import (DenseSystem, bidiagonal_solve, chain_inverse_entry,
+                     finite_diff_grad, ssm_reference, tridiag_bidiagonal_factor)
+from .params import (LevelParams, TreeVector, apply_gauge, init_random_stable,
+                     scale_rhs, ssm_to_chain)
+from .problem_io import read_problem, write_problem
+from .solver import (LevelData, solve, solve_transpose, solve_with_stats,
+                     upward_step, vjp)
+from .topology import (GridShape, TreeTopology, build_chain, build_perfect_tree,
+                       build_quadtree, flatten_image, order_indices)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "PIVOT_RTOL", "SingularBlockError",
-    "LayerConfig", "aggregate_topk", "bidirectional_chain_forward",
-    "build_input", "forward",
-    "BidiagonalFactors", "DenseSystem", "assemble_dense", "bidiagonal_solve",
-    "chain_inverse_entry", "chain_tridiagonal_blocks", "dense_solve",
-    "finite_diff_grad", "ssm_reference", "tridiag_bidiagonal_factor",
-    "BlockGrads", "LevelParams", "TreeVector", "apply_gauge",
-    "init_random_stable", "scale_rhs", "ssm_to_chain",
-    "FORMAT_VERSION", "read_problem", "write_problem",
-    "LevelData", "SolveState", "SolveStats", "downward_step", "downward_sweep",
-    "segment_sum", "solve", "solve_transpose", "solve_with_stats",
-    "transpose_params", "upward_step", "upward_sweep", "vjp",
+    "SingularBlockError",
+    "LayerConfig", "aggregate_topk", "forward",
+    "DenseSystem", "bidiagonal_solve", "chain_inverse_entry", "finite_diff_grad",
+    "ssm_reference", "tridiag_bidiagonal_factor",
+    "LevelParams", "TreeVector", "apply_gauge", "init_random_stable", "scale_rhs",
+    "ssm_to_chain",
+    "read_problem", "write_problem",
+    "LevelData", "solve", "solve_transpose", "solve_with_stats", "upward_step", "vjp",
     "GridShape", "TreeTopology", "build_chain", "build_perfect_tree",
-    "build_quadtree", "dfs_postorder_perm", "flatten_image", "morton_index",
-    "order_indices", "snake_index",
+    "build_quadtree", "flatten_image", "order_indices",
     "__version__",
 ]

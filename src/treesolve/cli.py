@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from .oracle import MAX_DENSE_NODES, assemble_dense, finite_diff_grad
+from .oracle import MAX_DENSE_NODES, DenseSystem, finite_diff_grad
 from .params import TreeVector, init_random_stable
 from .problem_io import read_problem, write_problem
 from .solver import solve, solve_with_stats, vjp
@@ -83,7 +83,7 @@ def cmd_gen(args) -> int:
 
 def cmd_verify(args) -> int:
     tree, params, u = read_problem(args.infile)
-    system = assemble_dense(params, tree, max_nodes=args.max_dense)
+    system = DenseSystem(params, tree, max_nodes=args.max_dense)
     x = solve(params, tree, u)
     x_ref = system.solve(u)
     scale = max(x_ref.max_abs(), np.finfo(np.float64).tiny)

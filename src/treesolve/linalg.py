@@ -46,6 +46,11 @@ class SingularBlockError(np.linalg.LinAlgError):
         return f"singular diagonal block at {where} (pivot step {self.pivot_step})"
 
 
+def _check_square_stack(a: np.ndarray) -> None:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
+        raise ValueError(f"expected a stack of square blocks of size >= 1, got shape {a.shape}")
+
+
 def lu_factor(a: np.ndarray):
     """Factor a stack of square blocks, P A = L U.
 
@@ -55,8 +60,7 @@ def lu_factor(a: np.ndarray):
     below ``PIVOT_RTOL`` times the block's max absolute entry.
     """
     lu = np.array(a, dtype=np.float64)
-    if lu.ndim < 2 or lu.shape[-1] != lu.shape[-2]:
-        raise ValueError(f"expected a stack of square blocks, got shape {lu.shape}")
+    _check_square_stack(lu)
     lead, d = lu.shape[:-2], lu.shape[-1]
     lu = lu.reshape(-1, d, d)  # one flat stack, so block n's row k is lu[n, k]
     n = np.arange(len(lu))
@@ -108,8 +112,7 @@ def invert_blocks(a: np.ndarray) -> np.ndarray:
     same ``block_index`` and ``pivot_step`` as always.
     """
     a = np.asarray(a, dtype=np.float64)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise ValueError(f"expected a stack of square blocks, got shape {a.shape}")
+    _check_square_stack(a)
     # zero, infinite or NaN blocks make inf/NaN here; they fail the screen instead
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         try:

@@ -15,8 +15,6 @@ from .topology import TreeTopology, dfs_postorder_perm
 __all__ = [
     "MAX_DENSE_NODES",
     "DenseSystem",
-    "assemble_dense",
-    "dense_solve",
     "ssm_reference",
     "chain_inverse_entry",
     "BidiagonalFactors",
@@ -104,15 +102,6 @@ class DenseSystem:
     def residual(self, x: TreeVector, u: TreeVector) -> float:
         r = self.matrix @ self.pack(x) - self.pack(u)
         return float(np.max(np.abs(r)))
-
-
-def assemble_dense(params: LevelParams, tree: TreeTopology,
-                   max_nodes: int = MAX_DENSE_NODES) -> DenseSystem:
-    return DenseSystem(params, tree, max_nodes)
-
-
-def dense_solve(system: DenseSystem, u: TreeVector) -> TreeVector:
-    return system.solve(u)
 
 
 def ssm_reference(interaction: np.ndarray, input_maps: np.ndarray,

@@ -12,6 +12,7 @@ Shape conventions (0-based level l, D levels, H heads):
 Parameter containers are immutable: all transforms return new values.
 """
 
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -190,11 +191,18 @@ class BlockGrads(NamedTuple):
     C: tuple[np.ndarray, ...]
 
 
+def _integer(value, what: str) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value}") from None
+
+
 def _block_size_list(block_sizes, depth: int) -> list[int]:
     if np.isscalar(block_sizes):
-        sizes = [int(block_sizes)] * depth
+        sizes = [_integer(block_sizes, "block size")] * depth
     else:
-        sizes = [int(d) for d in block_sizes]
+        sizes = [_integer(d, "block size") for d in block_sizes]
         if len(sizes) != depth:
             raise ValueError(f"expected {depth} block sizes, got {len(sizes)}")
     if any(d < 1 for d in sizes):
@@ -215,6 +223,7 @@ def init_random_stable(tree: TreeTopology, block_sizes=1, heads: int = 1,
     """
     if not (np.isfinite(coupling_scale) and coupling_scale >= 0):
         raise ValueError(f"coupling scale must be finite and nonnegative, got {coupling_scale}")
+    heads = _integer(heads, "heads")
     if heads < 1:
         raise ValueError(f"heads must be positive, got {heads}")
     sizes = _block_size_list(block_sizes, tree.depth)

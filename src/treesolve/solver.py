@@ -26,21 +26,8 @@ from .linalg import invert_level
 from .params import BlockGrads, LevelParams, TreeVector
 from .topology import TreeTopology
 
-__all__ = [
-    "LevelData",
-    "SolveState",
-    "SolveStats",
-    "segment_sum",
-    "upward_step",
-    "downward_step",
-    "upward_sweep",
-    "downward_sweep",
-    "solve",
-    "solve_with_stats",
-    "solve_transpose",
-    "transpose_params",
-    "vjp",
-]
+__all__ = ["LevelData", "SolveStats", "solve", "solve_with_stats", "solve_transpose",
+           "upward_step", "vjp"]
 
 
 class LevelData(NamedTuple):
@@ -223,11 +210,17 @@ def vjp(params: LevelParams, tree: TreeTopology, u: TreeVector, x: TreeVector,
     y = dL/du; the block cotangents are minus the outer products of y's block
     row with x's block column, summed over batch and right-part columns:
     dL/dA_v = -y_v x_v^T, dL/dB_v = -y_v x_{parent}^T, dL/dC_v = -y_{parent} x_v^T.
-    u and x are checked like right parts (x may share its batch across several
-    g); nothing is recomputed beyond the single transpose solve, which checks g.
+    u and x are checked like right parts.  g must match u's batch and right
+    parts; x must match g's right parts, with g's batch or batch 1 (one x
+    shared by every g).
+    Nothing is recomputed beyond the single transpose solve, which checks g.
     """
     _validate(params, tree, u)
     _validate(params, tree, x, "solution")
+    u_shape, x_shape, g_shape = ((v.batch, v.right_parts) for v in (u, x, g))
+    if g_shape != u_shape or x_shape[1] != g_shape[1] or x_shape[0] not in (1, g_shape[0]):
+        raise ValueError(f"(batch, right parts): cotangent {g_shape} must equal right "
+                         f"part {u_shape}, solution {x_shape} must match it or have batch 1")
     y = solve_transpose(params, tree, g)
     grad_A, grad_B, grad_C = [], [], []
     for l in range(tree.depth):

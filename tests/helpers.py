@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from treesolve import LevelParams, TreeVector, segment_sum, solve
+from treesolve import LevelParams, TreeVector, solve
+from treesolve.solver import segment_sum
 
 
 def random_params(tree, block_sizes=1, heads=1, rng=None, coupling=0.3,

@@ -8,8 +8,8 @@ import time
 
 import numpy as np
 
-from treesolve import (LevelData, LevelParams, TreeVector,
-                       apply_gauge, assemble_dense, bidiagonal_solve,
+from treesolve import (DenseSystem, LevelData, LevelParams, TreeVector,
+                       apply_gauge, bidiagonal_solve,
                        build_chain, build_perfect_tree, chain_inverse_entry,
                        init_random_stable, scale_rhs, solve, solve_with_stats,
                        ssm_reference, ssm_to_chain, tridiag_bidiagonal_factor,
@@ -52,7 +52,7 @@ def test_criterion_1_oracle_equivalence():
             tree = make_tree()
             params, u = _random_instance(rng, tree)
             x = solve(params, tree, u)
-            system = assemble_dense(params, tree)
+            system = DenseSystem(params, tree)
             x_ref = system.solve(u)
             worst_rel = max(worst_rel, rel_err(x, x_ref))
             worst_resid = max(worst_resid, system.residual(x, u) / u.max_abs())
@@ -93,7 +93,7 @@ def test_criterion_3_chain_closed_form_inverse():
             tuple(np.zeros((1, 1, d, d)) for _ in range(L - 1)),
             tuple(sub[k][None, None] for k in range(L - 1)),
         )
-        inv = assemble_dense(params, build_chain(L)).inverse()[0]
+        inv = DenseSystem(params, build_chain(L)).inverse()[0]
         for i in range(1, L + 1):
             for j in range(1, L + 1):
                 got = chain_inverse_entry(sub, i, j)

@@ -3,13 +3,14 @@ import re
 import numpy as np
 import pytest
 
-from treesolve import (GridShape, LayerConfig, LevelParams, TreeVector,
-                       aggregate_topk, assemble_dense,
-                       bidiagonal_solve, bidirectional_chain_forward,
-                       build_chain, build_input, build_perfect_tree,
-                       build_quadtree, chain_tridiagonal_blocks, flatten_image,
-                       forward, init_random_stable, morton_index, solve,
+from treesolve import (DenseSystem, GridShape, LayerConfig, LevelParams,
+                       TreeVector, aggregate_topk, bidiagonal_solve,
+                       build_chain, build_perfect_tree, build_quadtree,
+                       flatten_image, forward, init_random_stable, solve,
                        ssm_reference, tridiag_bidiagonal_factor)
+from treesolve.layer import bidirectional_chain_forward, build_input
+from treesolve.oracle import chain_tridiagonal_blocks
+from treesolve.topology import morton_index
 from helpers import random_params, rel_err
 
 
@@ -37,7 +38,7 @@ class TestForward:
         leaf = rng.standard_normal((2, 4, 1))
         x = forward(cfg, params, leaf)
         u = build_input(cfg, leaf)
-        want = assemble_dense(params, tree).solve(u)
+        want = DenseSystem(params, tree).solve(u)
         assert rel_err(x, want) < 1e-12
 
     def test_mean_pool_of_constant_is_constant(self):
@@ -179,7 +180,7 @@ class TestBidirectionalChain:
         fac = tridiag_bidiagonal_factor(*chain_tridiagonal_blocks(params))
         sweep = bidiagonal_solve(fac, u_seq[None])[0]
         np.testing.assert_allclose(got, sweep, atol=1e-10)
-        dense = assemble_dense(params, build_chain(L)).solve(u)
+        dense = DenseSystem(params, build_chain(L)).solve(u)
         assert rel_err(x, dense) < 1e-10
 
     def test_requires_chain(self):

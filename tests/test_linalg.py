@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treesolve import PIVOT_RTOL, SingularBlockError
-from treesolve.linalg import invert_blocks, lu_factor, lu_solve
+from treesolve import SingularBlockError
+from treesolve.linalg import PIVOT_RTOL, invert_blocks, lu_factor, lu_solve
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 5])
@@ -133,6 +133,18 @@ def test_invert_blocks_matches_lapack_solve(d):
 def test_invert_blocks_rejects_non_square(shape):
     with pytest.raises(ValueError):
         invert_blocks(np.ones(shape))
+
+
+@pytest.mark.parametrize("f", [lu_factor, invert_blocks])
+def test_zero_size_blocks_rejected(f):
+    with pytest.raises(ValueError, match=r"square blocks of size >= 1, got shape \(2, 0, 0\)"):
+        f(np.zeros((2, 0, 0)))
+
+
+def test_empty_stack_of_blocks_is_fine():
+    lu, perm = lu_factor(np.zeros((0, 3, 3)))
+    assert lu.shape == (0, 3, 3) and perm.shape == (0, 3)
+    assert invert_blocks(np.zeros((0, 3, 3))).shape == (0, 3, 3)
 
 
 def test_invert_blocks_falls_back_to_lu_when_lapack_refuses(monkeypatch):

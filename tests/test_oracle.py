@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from treesolve import (LevelParams, TreeVector, assemble_dense,
+from treesolve import (DenseSystem, LevelParams, TreeVector,
                        bidiagonal_solve, build_chain, build_perfect_tree,
-                       chain_inverse_entry, chain_tridiagonal_blocks,
-                       dense_solve, finite_diff_grad, init_random_stable,
-                       solve, ssm_reference, ssm_to_chain,
+                       chain_inverse_entry, finite_diff_grad,
+                       init_random_stable, solve, ssm_reference, ssm_to_chain,
                        tridiag_bidiagonal_factor)
+from treesolve.oracle import chain_tridiagonal_blocks
 from helpers import random_params, random_rhs, rel_err
 
 
@@ -20,7 +20,7 @@ class TestAssembly:
         ones = np.ones((1, 1, 1, 1))
         params = LevelParams((ones, ones, ones), (0 * ones, 0 * ones),
                              (2 * ones, 3 * ones))
-        m = assemble_dense(params, tree).matrix[0]
+        m = DenseSystem(params, tree).matrix[0]
         np.testing.assert_array_equal(m, [[1, 0, 0], [2, 1, 0], [0, 3, 1]])
 
     def test_star_is_arrowhead(self):
@@ -30,14 +30,14 @@ class TestAssembly:
             (np.array([1.0, 2.0]).reshape(1, 2, 1, 1),),
             (np.array([3.0, 4.0]).reshape(1, 2, 1, 1),),
         )
-        m = assemble_dense(params, tree).matrix[0]
+        m = DenseSystem(params, tree).matrix[0]
         np.testing.assert_array_equal(m, [[1, 0, 1], [0, 1, 2], [3, 4, 5]])
 
     def test_binary_four_leaves_sparsity_pattern(self):
         rng = np.random.default_rng(0)
         tree = build_perfect_tree(2, 4)
         params = random_params(tree, 1, rng=rng)
-        m = assemble_dense(params, tree).matrix[0]
+        m = DenseSystem(params, tree).matrix[0]
         # rows in post-order: 1,2,[1;2],3,4,[3;4],[1;4]; blocks allowed on the
         # diagonal and between each node and its parent only
         allowed = np.zeros((7, 7), dtype=bool)
@@ -52,14 +52,14 @@ class TestAssembly:
         tree = build_perfect_tree(2, 8)
         params = init_random_stable(tree, 1, seed=0)
         with pytest.raises(ValueError, match="capped"):
-            assemble_dense(params, tree, max_nodes=10)
+            DenseSystem(params, tree, max_nodes=10)
 
     def test_ssm_chain_assembles_lower_bidiagonal(self):
         rng = np.random.default_rng(1)
         L, d = 6, 2
         S = np.eye(d) + 0.3 * rng.uniform(-1, 1, (L, d, d))
         I = rng.uniform(-1, 1, (L - 1, d, d))
-        m = assemble_dense(ssm_to_chain(I, S), build_chain(L)).matrix[0]
+        m = DenseSystem(ssm_to_chain(I, S), build_chain(L)).matrix[0]
         blk = np.arange(L * d) // d
         above_diag_block = blk[None, :] > blk[:, None]
         assert np.max(np.abs(m[above_diag_block])) == 0.0
@@ -70,13 +70,13 @@ class TestDenseSolve:
         tree = build_perfect_tree(2, 4)
         params = init_random_stable(tree, 2, seed=0, coupling_scale=0.0)
         u = random_rhs(tree, 2, rng=np.random.default_rng(2))
-        assert rel_err(dense_solve(assemble_dense(params, tree), u), u) == 0.0
+        assert rel_err(DenseSystem(params, tree).solve(u), u) == 0.0
 
     def test_star_hand_solve(self):
         tree = build_chain(2)
         params = LevelParams((scalar(2), scalar(3)), (scalar(1),), (scalar(1),))
         u = TreeVector((scalar(2)[None], scalar(1)[None]))
-        x = dense_solve(assemble_dense(params, tree), u)
+        x = DenseSystem(params, tree).solve(u)
         np.testing.assert_allclose(
             [v.reshape(-1)[0] for v in x.levels], [1.0, 0.0], atol=1e-15)
 
@@ -85,14 +85,14 @@ class TestDenseSolve:
         tree = build_perfect_tree(3, 27)
         params = random_params(tree, 2, heads=2, rng=rng)
         u = random_rhs(tree, 2, heads=2, batch=2, right_parts=2, rng=rng)
-        system = assemble_dense(params, tree)
+        system = DenseSystem(params, tree)
         x = system.solve(u)
         assert system.residual(x, u) <= 1e-12 * max(1.0, u.max_abs())
 
     def test_inverse_exposed(self):
         tree = build_chain(2)
         params = LevelParams((scalar(2), scalar(3)), (scalar(1),), (scalar(1),))
-        inv = assemble_dense(params, tree).inverse()
+        inv = DenseSystem(params, tree).inverse()
         np.testing.assert_allclose(inv[0] @ np.array([[2, 1], [1, 3]]), np.eye(2),
                                    atol=1e-14)
 
@@ -152,7 +152,7 @@ class TestChainInverse:
             tuple(np.zeros((1, 1, d, d)) for _ in range(L - 1)),
             tuple(sub[k].reshape(1, 1, d, d) for k in range(L - 1)),
         )
-        inv = assemble_dense(params, build_chain(L)).inverse()[0]
+        inv = DenseSystem(params, build_chain(L)).inverse()[0]
         for i in range(1, L + 1):
             for j in range(1, L + 1):
                 got = chain_inverse_entry(sub, i, j)

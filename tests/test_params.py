@@ -3,8 +3,8 @@ import re
 import numpy as np
 import pytest
 
-from treesolve import (LevelParams, SingularBlockError, TreeVector, apply_gauge,
-                       assemble_dense, build_chain, build_perfect_tree,
+from treesolve import (DenseSystem, LevelParams, SingularBlockError, TreeVector,
+                       apply_gauge, build_chain, build_perfect_tree,
                        init_random_stable, scale_rhs, solve, ssm_reference,
                        ssm_to_chain)
 from helpers import random_rhs, rel_err
@@ -67,6 +67,10 @@ class TestStableInit:
         with pytest.raises(ValueError, match="block sizes must be positive"):
             init_random_stable(build_perfect_tree(2, 4), sizes)
 
+    def test_numpy_integer_sizes_accepted(self):
+        params = init_random_stable(build_perfect_tree(2, 4), np.int64(2), heads=np.int32(3))
+        assert params.block_sizes == (2, 2, 2) and params.heads == 3
+
     @pytest.mark.parametrize("gamma", [np.nan, np.inf])
     def test_rejects_non_finite_coupling_scale(self, gamma):
         with pytest.raises(ValueError, match="coupling scale must be finite"):
@@ -78,7 +82,7 @@ class TestStableInit:
         # is the identity (couplings are skew)
         tree = build_perfect_tree(2, 4)
         params = init_random_stable(tree, 1, seed=7, coupling_scale=0.5)
-        m = assemble_dense(params, tree).matrix
+        m = DenseSystem(params, tree).matrix
         assert np.min(np.linalg.eigvals(m).real) > 0
         sym = (m + m.swapaxes(-1, -2)) / 2
         np.testing.assert_allclose(sym, np.broadcast_to(np.eye(m.shape[-1]), m.shape),
@@ -200,8 +204,11 @@ _PAIR = build_perfect_tree(2, 2)  # two leaves under one root
      "expected 2 gauge levels"),
     (lambda: ssm_to_chain(np.zeros((1, 2, 2)), np.ones((2, 2))), "input maps must be"),
     (lambda: ssm_to_chain(np.zeros((2, 2, 2)), np.ones((2, 2, 2))), "interaction must be"),
+    (lambda: init_random_stable(_PAIR, 2.5), "block size must be an integer, got 2.5"),
+    (lambda: init_random_stable(_PAIR, [1, 2.5]), "block size must be an integer, got 2.5"),
+    (lambda: init_random_stable(_PAIR, heads=2.5), "heads must be an integer, got 2.5"),
 ], ids=["heads", "B-shape", "C-shape", "block-size-count", "gauge-levels", "ssm-maps",
-        "ssm-interaction"])
+        "ssm-interaction", "float-block-size", "float-block-size-list", "float-heads"])
 def test_shape_errors(call, fragment):
     with pytest.raises(ValueError, match=re.escape(fragment)):
         call()

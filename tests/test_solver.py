@@ -3,12 +3,11 @@ import re
 import numpy as np
 import pytest
 
-from treesolve import (LevelData, LevelParams, SingularBlockError, TreeTopology,
-                       TreeVector, assemble_dense, build_chain,
-                       build_perfect_tree, downward_step, downward_sweep,
-                       init_random_stable, solve, solve_transpose,
-                       solve_with_stats, upward_step, upward_sweep, vjp)
-from treesolve.solver import segment_sum
+from treesolve import (DenseSystem, LevelData, LevelParams, SingularBlockError,
+                       TreeTopology, TreeVector, build_chain,
+                       build_perfect_tree, init_random_stable, solve,
+                       solve_transpose, solve_with_stats, upward_step, vjp)
+from treesolve.solver import downward_step, downward_sweep, segment_sum, upward_sweep
 from helpers import dot, jvp, perturbation_like, random_params, random_rhs, rel_err
 
 
@@ -110,7 +109,7 @@ class TestSolve:
         params = random_params(tree, d, heads=heads, rng=rng)
         u = random_rhs(tree, d, heads=heads, batch=batch, right_parts=r, rng=rng)
         x = solve(params, tree, u)
-        system = assemble_dense(params, tree)
+        system = DenseSystem(params, tree)
         assert rel_err(x, system.solve(u)) < 1e-11
         assert system.residual(x, u) < 1e-10 * max(1.0, u.max_abs())
 
@@ -121,7 +120,7 @@ class TestSolve:
         params = random_params(tree, sizes, heads=2, rng=rng)
         u = random_rhs(tree, sizes, heads=2, batch=2, right_parts=2, rng=rng)
         x = solve(params, tree, u)
-        assert rel_err(x, assemble_dense(params, tree).solve(u)) < 1e-11
+        assert rel_err(x, DenseSystem(params, tree).solve(u)) < 1e-11
 
     def test_irregular_tree_with_childless_parent(self):
         rng = np.random.default_rng(6)
@@ -129,7 +128,7 @@ class TestSolve:
         params = random_params(tree, 2, rng=rng)
         u = random_rhs(tree, 2, rng=rng)
         x = solve(params, tree, u)
-        assert rel_err(x, assemble_dense(params, tree).solve(u)) < 1e-12
+        assert rel_err(x, DenseSystem(params, tree).solve(u)) < 1e-12
 
     def test_single_node_tree(self):
         tree = build_perfect_tree(2, 1)
@@ -242,7 +241,7 @@ class TestTransposeAndVjp:
         params = random_params(tree, 2, heads=2, rng=rng)
         g = random_rhs(tree, 2, heads=2, rng=rng)
         y = solve_transpose(params, tree, g)
-        system = assemble_dense(params, tree)
+        system = DenseSystem(params, tree)
         want = system.unpack(np.linalg.solve(system.matrix.swapaxes(-1, -2),
                                              system.pack(g)))
         assert rel_err(y, want) < 1e-11
@@ -344,7 +343,7 @@ class TestSolveState:
         u = random_rhs(tree, 1, rng=rng)
         state = upward_sweep(params, tree, u)
         x_root = np.linalg.solve(state.root_matrix, state.root_rhs)
-        want = assemble_dense(params, tree).solve(u).levels[-1]
+        want = DenseSystem(params, tree).solve(u).levels[-1]
         np.testing.assert_allclose(x_root, want, atol=1e-12)
 
     def test_sweeps_compose_to_solve(self):
@@ -408,6 +407,26 @@ class TestVjpChecksSolution:
     def test_solution_heads_must_match(self):
         x = TreeVector(tuple(v[:, :1] for v in self.x.levels))
         with pytest.raises(ValueError, match="solution heads 1 != parameter heads 2"):
+            vjp(self.params, self.tree, self.u, x, self.g)
+
+    def test_cotangent_right_parts_must_match(self):
+        u = random_rhs(self.tree, 2, heads=2, batch=3, right_parts=2, rng=np.random.default_rng(1))
+        x = solve(self.params, self.tree, u)
+        fragment = "cotangent (3, 1) must equal right part (3, 2)"
+        with pytest.raises(ValueError, match=re.escape(fragment)):
+            vjp(self.params, self.tree, u, x, self.g)
+
+    def test_right_part_columns_must_match_solution(self):
+        u = random_rhs(self.tree, 2, heads=2, batch=3, right_parts=5, rng=np.random.default_rng(1))
+        x = TreeVector(tuple(v[..., :2] for v in u.levels))
+        g = TreeVector(tuple(v[..., :2] for v in u.levels))
+        with pytest.raises(ValueError, match=re.escape("right part (3, 5), solution (3, 2)")):
+            vjp(self.params, self.tree, u, x, g)
+
+    def test_solution_batch_must_match_cotangent_or_be_one(self):
+        x = TreeVector(tuple(v[:2] for v in self.x.levels))
+        with pytest.raises(ValueError, match=re.escape("cotangent (3, 1) must equal right part "
+                                                       "(3, 1), solution (2, 1)")):
             vjp(self.params, self.tree, self.u, x, self.g)
 
     def test_batch_one_solution_is_shared_by_every_cotangent(self):

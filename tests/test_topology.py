@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treesolve import (GridShape, TreeTopology, build_chain, build_perfect_tree,
-                       build_quadtree, dfs_postorder_perm, flatten_image,
-                       morton_index, order_indices, snake_index)
+                       build_quadtree, flatten_image, order_indices)
+from treesolve.topology import dfs_postorder_perm, morton_index, snake_index
 
 GRID4 = GridShape(4, 4)
 
