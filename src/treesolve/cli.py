@@ -184,7 +184,7 @@ def _build_parser() -> _Parser:
 
     verify = sub.add_parser("verify", help="compare the tree solve against the dense oracle")
     verify.add_argument("--in", dest="infile", required=True)
-    verify.add_argument("--max-dense", type=int, default=MAX_DENSE_NODES)
+    verify.add_argument("--max-dense", type=_bounded(int, 1), default=MAX_DENSE_NODES)
     verify.add_argument("--tol", type=_bounded(float, 0), default=1e-10)
     verify.set_defaults(func=cmd_verify)
 
@@ -210,7 +210,7 @@ def _build_parser() -> _Parser:
     gradcheck.add_argument("--in", dest="infile", required=True)
     gradcheck.add_argument("--eps", type=_bounded(float, 0, strict=True), default=1e-5)
     gradcheck.add_argument("--tol", type=_bounded(float, 0), default=1e-5)
-    gradcheck.add_argument("--max-entries", type=int, default=10_000)
+    gradcheck.add_argument("--max-entries", type=_bounded(int, 1), default=10_000)
     gradcheck.set_defaults(func=cmd_gradcheck)
     return parser
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from .params import LevelParams, TreeVector
 from .solver import segment_sum, solve
-from .topology import TreeTopology, build_chain
+from .topology import TreeTopology, _integer, build_chain
 
 __all__ = ["LayerConfig", "build_input", "forward", "aggregate_topk",
            "bidirectional_chain_forward"]
@@ -30,7 +30,10 @@ class LayerConfig:
     top_levels: int = 1  # BFS levels averaged by aggregate_topk, root first
 
     def __post_init__(self):
-        object.__setattr__(self, "block_sizes", tuple(int(d) for d in self.block_sizes))
+        sizes = tuple(_integer(d, "block size") for d in self.block_sizes)
+        object.__setattr__(self, "block_sizes", sizes)
+        object.__setattr__(self, "heads", _integer(self.heads, "heads"))
+        object.__setattr__(self, "top_levels", _integer(self.top_levels, "top_levels"))
         if len(self.block_sizes) != self.tree.depth:
             raise ValueError(
                 f"expected {self.tree.depth} block sizes, got {len(self.block_sizes)}"

@@ -43,14 +43,12 @@ class DenseSystem:
             raise ValueError(
                 f"dense oracle capped at {max_nodes} nodes, got {tree.total_nodes}"
             )
-        self.tree = tree
-        self.heads = params.heads
-        self.block_sizes = params.block_sizes
+        self.tree, self.params = tree, params
         perm = dfs_postorder_perm(tree)
         offsets_bfs = tree.level_offsets()
         d_of_node = np.concatenate([
             np.full(n, d, dtype=np.int64)
-            for n, d in zip(tree.level_sizes, self.block_sizes)
+            for n, d in zip(tree.level_sizes, params.block_sizes)
         ])
         # row offset of each node, indexed by BFS position
         d_by_pos = np.empty_like(d_of_node)
@@ -60,10 +58,10 @@ class DenseSystem:
         self._row_start = pos_offsets[perm]  # by BFS node index
         # per level: (n_l, d_l) row indices into the dense matrix
         self._rows = []
-        for l, (n, d) in enumerate(zip(tree.level_sizes, self.block_sizes)):
+        for l, (n, d) in enumerate(zip(tree.level_sizes, params.block_sizes)):
             starts = self._row_start[offsets_bfs[l] : offsets_bfs[l + 1]]
             self._rows.append(starts[:, None] + np.arange(d)[None, :])
-        self.matrix = np.zeros((self.heads, self.size, self.size))
+        self.matrix = np.zeros((params.heads, self.size, self.size))
         for l in range(tree.depth):
             rows = self._rows[l]
             self.matrix[:, rows[:, :, None], rows[:, None, :]] = params.A[l]
@@ -74,6 +72,7 @@ class DenseSystem:
 
     def pack(self, v: TreeVector) -> np.ndarray:
         """Level-structured vector -> (batch, heads, N, r) in post-order rows."""
+        self.params.check_vector(self.tree, v)
         flat = np.zeros((v.batch, v.heads, self.size, v.right_parts))
         for l, rows in enumerate(self._rows):
             flat[:, :, rows.reshape(-1), :] = v.levels[l].reshape(

@@ -12,14 +12,13 @@ Shape conventions (0-based level l, D levels, H heads):
 Parameter containers are immutable: all transforms return new values.
 """
 
-import operator
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .linalg import SingularBlockError, invert_level, lu_factor, lu_solve
-from .topology import TreeTopology
+from .topology import TreeTopology, _integer
 
 __all__ = [
     "LevelParams",
@@ -107,6 +106,25 @@ class LevelParams:
                 f"tree levels {tree.level_sizes}"
             )
 
+    def check_vector(self, tree: TreeTopology, v: "TreeVector", what: str = "right part") -> None:
+        """Check that ``v`` fits this system on ``tree`` and holds only finite entries."""
+        self.validate_for(tree)
+        if v.depth != tree.depth:
+            raise ValueError(f"{what} has {v.depth} levels, tree has {tree.depth}")
+        if v.heads != self.heads:
+            raise ValueError(f"{what} heads {v.heads} != parameter heads {self.heads}")
+        if v.node_counts != tree.level_sizes:
+            raise ValueError(
+                f"{what} node counts {v.node_counts} do not match tree {tree.level_sizes}"
+            )
+        if v.block_sizes != self.block_sizes:
+            raise ValueError(
+                f"{what} block sizes {v.block_sizes} != parameter blocks {self.block_sizes}"
+            )
+        for l, level in enumerate(v.levels):
+            if not np.isfinite(level).all():
+                raise ValueError(f"{what} level {l + 1} contains non-finite entries")
+
 
 @dataclass(frozen=True)
 class TreeVector:
@@ -191,13 +209,6 @@ class BlockGrads(NamedTuple):
     C: tuple[np.ndarray, ...]
 
 
-def _integer(value, what: str) -> int:
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{what} must be an integer, got {value}") from None
-
-
 def _block_size_list(block_sizes, depth: int) -> list[int]:
     if np.isscalar(block_sizes):
         sizes = [_integer(block_sizes, "block size")] * depth
@@ -235,7 +246,7 @@ def init_random_stable(tree: TreeTopology, block_sizes=1, heads: int = 1,
     B, C = [], []
     for l in range(tree.depth - 1):
         n, d_l, d_up = tree.level_sizes[l], sizes[l], sizes[l + 1]
-        k = max(int(s) for s in tree.split_sizes[l])
+        k = max(tree.split_sizes[l])
         bound = coupling_scale / (k * max(d_l, d_up))
         b = rng.uniform(-bound, bound, size=(heads, n, d_l, d_up))
         B.append(b)

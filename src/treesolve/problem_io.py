@@ -16,7 +16,7 @@ import json
 import numpy as np
 
 from .params import LevelParams, TreeVector
-from .topology import TreeTopology, build_perfect_tree
+from .topology import TreeTopology, _integer, build_perfect_tree
 
 __all__ = ["FORMAT_VERSION", "write_problem", "read_problem"]
 
@@ -37,18 +37,12 @@ def _tree_header(tree: TreeTopology) -> dict:
 
 def _tree_from_header(entry: dict) -> TreeTopology:
     if "arity" in entry:
-        return build_perfect_tree(int(entry["arity"]), int(entry["leaf_count"]))
-    return TreeTopology(
-        tuple(entry["level_sizes"]),
-        tuple(tuple(grp) for grp in entry["split_sizes"]),
-    )
+        return build_perfect_tree(entry["arity"], entry["leaf_count"])
+    return TreeTopology(entry["level_sizes"], entry["split_sizes"])
 
 
 def write_problem(path, tree: TreeTopology, params: LevelParams, u: TreeVector) -> None:
-    params.validate_for(tree)
-    if (u.node_counts != tree.level_sizes or u.block_sizes != params.block_sizes
-            or u.heads != params.heads):
-        raise ValueError("right part does not match the tree/parameter structure")
+    params.check_vector(tree, u)
     header = {
         "format_version": FORMAT_VERSION,
         "tree": _tree_header(tree),
@@ -81,16 +75,16 @@ def read_problem(path):
         raise ValueError(f"unsupported format version {version!r}")
     try:
         tree = _tree_from_header(header["tree"])
-        d = [int(x) for x in header["block_sizes"]]
-        heads, batch, r = int(header["heads"]), int(header["batch"]), int(header["right_parts"])
+        d = [_integer(x, "block size") for x in header["block_sizes"]]
+        heads, batch, r = (_integer(header[k], k) for k in ("heads", "batch", "right_parts"))
     except KeyError as e:
         raise ValueError(f"malformed problem header: missing key {e}") from None
     except (TypeError, AttributeError) as e:
         raise ValueError(f"malformed problem header: {e}") from None
     if len(d) != tree.depth:
         raise ValueError(f"expected {tree.depth} block sizes, got {len(d)}")
-    if min(heads, batch, r) < 1:
-        raise ValueError("heads, batch and right_parts must be positive")
+    if min(heads, batch, r, *d) < 1:
+        raise ValueError("block sizes, heads, batch and right_parts must be positive")
     n = tree.level_sizes
     shapes = (
         [(heads, n[l], d[l], d[l]) for l in range(tree.depth)]

@@ -109,29 +109,9 @@ def downward_step(u_hat: np.ndarray, b_hat: np.ndarray, x_parent: np.ndarray,
     return u_hat + b_hat @ x_up
 
 
-def _validate(params: LevelParams, tree: TreeTopology, u: TreeVector,
-              what: str = "right part") -> None:
-    params.validate_for(tree)
-    if u.depth != tree.depth:
-        raise ValueError(f"{what} has {u.depth} levels, tree has {tree.depth}")
-    if u.heads != params.heads:
-        raise ValueError(f"{what} heads {u.heads} != parameter heads {params.heads}")
-    if u.node_counts != tree.level_sizes:
-        raise ValueError(
-            f"{what} node counts {u.node_counts} do not match tree {tree.level_sizes}"
-        )
-    if u.block_sizes != params.block_sizes:
-        raise ValueError(
-            f"{what} block sizes {u.block_sizes} != parameter blocks {params.block_sizes}"
-        )
-    for l, v in enumerate(u.levels):
-        if not np.isfinite(v).all():
-            raise ValueError(f"{what} level {l + 1} contains non-finite entries")
-
-
 def upward_sweep(params: LevelParams, tree: TreeTopology, u: TreeVector) -> SolveState:
     """Eliminate every level into its parent, leaf to root."""
-    _validate(params, tree, u)
+    params.check_vector(tree, u)
     depth = tree.depth
 
     def level_data(l):
@@ -215,8 +195,8 @@ def vjp(params: LevelParams, tree: TreeTopology, u: TreeVector, x: TreeVector,
     shared by every g).
     Nothing is recomputed beyond the single transpose solve, which checks g.
     """
-    _validate(params, tree, u)
-    _validate(params, tree, x, "solution")
+    params.check_vector(tree, u)
+    params.check_vector(tree, x, "solution")
     u_shape, x_shape, g_shape = ((v.batch, v.right_parts) for v in (u, x, g))
     if g_shape != u_shape or x_shape[1] != g_shape[1] or x_shape[0] not in (1, g_shape[0]):
         raise ValueError(f"(batch, right parts): cotangent {g_shape} must equal right "

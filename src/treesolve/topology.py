@@ -5,6 +5,7 @@ single root.  Internally everything is 0-based; 1-based numbering is used in
 documentation, error messages and file formats.
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,14 @@ def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as a Python int; floats, strings and other non-integers are a ValueError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class GridShape:
     """Pixel grid dimensions. Quadtree/Morton use requires a 2^d x 2^d grid."""
@@ -35,6 +44,8 @@ class GridShape:
     width: int
 
     def __post_init__(self):
+        object.__setattr__(self, "height", _integer(self.height, "grid height"))
+        object.__setattr__(self, "width", _integer(self.width, "grid width"))
         if self.height < 1 or self.width < 1:
             raise ValueError(f"grid dimensions must be positive, got {self.height}x{self.width}")
 
@@ -66,10 +77,10 @@ class TreeTopology:
     split_sizes: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "level_sizes", tuple(int(n) for n in self.level_sizes))
-        object.__setattr__(
-            self, "split_sizes", tuple(tuple(int(s) for s in grp) for grp in self.split_sizes)
-        )
+        sizes = tuple(_integer(n, "level size") for n in self.level_sizes)
+        splits = tuple(tuple(_integer(s, "split size") for s in grp) for grp in self.split_sizes)
+        object.__setattr__(self, "level_sizes", sizes)
+        object.__setattr__(self, "split_sizes", splits)
         if not self.level_sizes:
             raise ValueError("a tree needs at least one level")
         if any(n < 1 for n in self.level_sizes):
@@ -123,6 +134,7 @@ def build_perfect_tree(arity: int, leaf_count: int) -> TreeTopology:
     ``leaf_count = arity**d`` gives ``d + 1`` levels with sizes
     ``arity**d, arity**(d-1), ..., 1``.
     """
+    arity, leaf_count = _integer(arity, "arity"), _integer(leaf_count, "leaf count")
     if arity < 1:
         raise ValueError(f"arity must be a positive integer, got {arity}")
     if leaf_count < 1:
@@ -154,16 +166,18 @@ def build_quadtree(grid: GridShape) -> TreeTopology:
 
 def build_chain(length: int) -> TreeTopology:
     """Chain of ``length`` nodes: one node per level, leaf at one end, root at the other."""
+    length = _integer(length, "chain length")
     if length < 1:
         raise ValueError(f"chain length must be positive, got {length}")
     return TreeTopology((1,) * length, ((1,),) * (length - 1))
 
 
-def _check_coords(x: int, y: int, grid: GridShape) -> None:
+def _pixel(x, y, grid: GridShape) -> tuple[int, int]:
+    """Integer coordinates (x, y) of a pixel inside ``grid``."""
+    x, y = _integer(x, "pixel column"), _integer(y, "pixel row")
     if not (0 <= x < grid.width and 0 <= y < grid.height):
-        raise ValueError(
-            f"pixel ({x}, {y}) outside {grid.height}x{grid.width} grid"
-        )
+        raise ValueError(f"pixel ({x}, {y}) outside {grid.height}x{grid.width} grid")
+    return x, y
 
 
 def _morton(x, y, grid: GridShape):
@@ -192,14 +206,12 @@ def morton_index(x: int, y: int, grid: GridShape) -> int:
     Bits of x and y are interleaved with x contributing the lower bit of each
     pair; on a 4x4 grid this is (x mod 2) + 2(y mod 2) + 4(x//2) + 8(y//2) + 1.
     """
-    _check_coords(x, y, grid)
-    return _morton(int(x), int(y), grid)
+    return _morton(*_pixel(x, y, grid), grid)
 
 
 def snake_index(x: int, y: int, grid: GridShape) -> int:
     """1-based boustrophedon position: even rows run left to right, odd rows reversed."""
-    _check_coords(x, y, grid)
-    return _snake(int(x), int(y), grid)
+    return _snake(*_pixel(x, y, grid), grid)
 
 
 def order_indices(grid: GridShape, order: str) -> np.ndarray:

@@ -34,6 +34,13 @@ def random_rhs(tree, block_sizes=1, heads=1, batch=1, right_parts=1, rng=None):
     ))
 
 
+def with_nan(v: TreeVector, level: int) -> TreeVector:
+    """Copy of ``v`` whose first entry on 0-based ``level`` is NaN."""
+    levels = [a.copy() for a in v.levels]
+    levels[level].reshape(-1)[0] = np.nan
+    return TreeVector(tuple(levels))
+
+
 def rel_err(got: TreeVector, want: TreeVector) -> float:
     scale = max(want.max_abs(), np.finfo(np.float64).tiny)
     return (got - want).max_abs() / scale

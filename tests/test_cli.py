@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import treesolve
-from treesolve import TreeVector, cli, read_problem, write_problem
+from treesolve import cli, read_problem, write_problem
 from treesolve.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VERIFY,
                            main)
 from treesolve.oracle import MAX_DENSE_NODES
@@ -114,13 +114,32 @@ class TestVerify:
     def test_nan_right_part_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "p.bin"
         assert main(gen_args(path, leaves=4)) == EXIT_OK
-        tree, params, u = read_problem(path)
-        levels = [v.copy() for v in u.levels]
-        levels[2][0, 0, 0, 0, 0] = np.nan
-        write_problem(path, tree, params, TreeVector(tuple(levels)))
+        # the writer refuses NaN, so overwrite the payload's last float: level 3's only entry
+        path.write_bytes(path.read_bytes()[:-8] + np.array([np.nan], "<f8").tobytes())
         assert main(["verify", "--in", str(path)]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert "level 3 contains non-finite" in err and err.count("\n") == 1
+
+    def test_fractional_header_count_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "p.bin"
+        assert main(gen_args(path, leaves=4, heads=2)) == EXIT_OK
+        header, _, payload = path.read_bytes().partition(b"\n")
+        path.write_bytes(header.replace(b'"heads": 2', b'"heads": 2.9') + b"\n" + payload)
+        assert main(["verify", "--in", str(path)]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: heads must be an integer, got 2.9\n"
+
+    def test_overflowing_header_count_is_one_line_error(self, tmp_path):
+        path = tmp_path / "p.bin"
+        path.write_bytes(b'{"format_version": 1, "tree": {"arity": 2, "leaf_count": 4}, '
+                         b'"block_sizes": [1, 1, 1], "heads": 1, "batch": 1e400, '
+                         b'"right_parts": 1}\n')
+        src = os.path.dirname(os.path.dirname(treesolve.__file__))
+        run = subprocess.run([sys.executable, "-m", "treesolve.cli", "verify", "--in", str(path)],
+                             capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+        assert run.returncode == EXIT_USAGE
+        assert "Traceback" not in run.stderr
+        assert run.stderr.startswith("error: batch must be an integer")
+        assert run.stderr.count("\n") == 1
 
     def test_over_dense_cap_is_usage_error(self, tmp_path):
         path = tmp_path / "p.bin"
@@ -235,6 +254,10 @@ class TestUsage:
         ["gen", "--seed", "-1"],
         ["bench", "--repeats", "0"],
         ["bench", "--seed", "-1"],
+        ["verify", "--max-dense", "-3"],
+        ["verify", "--max-dense", "0"],
+        ["gradcheck", "--max-entries", "-3"],
+        ["gradcheck", "--max-entries", "0"],
     ], ids=lambda argv: "-".join(argv))
     def test_bad_flag_is_one_line_error(self, tmp_path, argv):
         problem = tmp_path / "p.bin"

@@ -219,15 +219,26 @@ _PAIR = build_perfect_tree(2, 2)  # two leaves under one root
     (lambda: LayerConfig(_PAIR, (1,)), "expected 2 block sizes, got 1"),
     (lambda: LayerConfig(_PAIR, (1, 1), virtual_input="copy"), "virtual-input policy 'copy'"),
     (lambda: LayerConfig(_PAIR, (1, 2), virtual_input="mean"), "requires a uniform block size"),
+    (lambda: LayerConfig(_PAIR, (1.5, 1)), "block size must be an integer, got 1.5"),
+    (lambda: LayerConfig(_PAIR, (1, 1), heads=1.5), "heads must be an integer, got 1.5"),
+    (lambda: LayerConfig(_PAIR, (1, 1), top_levels=1.5), "top_levels must be an integer, got 1.5"),
     (lambda: build_input(config_for(_PAIR), np.zeros((3, 1))), "leaf inputs, got (1, 3, 1)"),
     (lambda: build_input(config_for(_PAIR), np.zeros((1, 2, 2))), "leaf vectors have dim 2"),
     (lambda: aggregate_topk(TreeVector((np.zeros((1, 1, 2, 1, 1)), np.zeros((1, 1, 1, 2, 1)))),
                             LayerConfig(_PAIR, (1, 2), top_levels=2)), "mixed block sizes"),
-], ids=["block-size-count", "policy", "mean-mixed-sizes", "leaf-count", "leaf-dim",
-        "aggregate-mixed-sizes"])
+], ids=["block-size-count", "policy", "mean-mixed-sizes", "float-block-size", "float-heads",
+        "float-top-levels", "leaf-count", "leaf-dim", "aggregate-mixed-sizes"])
 def test_config_and_input_errors(call, fragment):
     with pytest.raises(ValueError, match=re.escape(fragment)):
         call()
+
+
+def test_numpy_integer_config_accepted():
+    config = LayerConfig(_PAIR, (np.int64(1), np.int32(1)), heads=np.int64(2),
+                         top_levels=np.int64(2))
+    assert config == LayerConfig(_PAIR, (1, 1), heads=2, top_levels=2)
+    assert aggregate_topk(forward(config, init_random_stable(_PAIR, 1, heads=2),
+                                  np.ones((1, 2, 1))), config).shape == (1, 2, 1, 1)
 
 
 def test_two_dimensional_leaf_input_is_one_batch():

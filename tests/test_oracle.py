@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from treesolve import (DenseSystem, LevelParams, TreeVector,
                        init_random_stable, solve, ssm_reference, ssm_to_chain,
                        tridiag_bidiagonal_factor)
 from treesolve.oracle import chain_tridiagonal_blocks
-from helpers import random_params, random_rhs, rel_err
+from helpers import random_params, random_rhs, rel_err, with_nan
 
 
 def scalar(v):
@@ -95,6 +97,27 @@ class TestDenseSolve:
         inv = DenseSystem(params, tree).inverse()
         np.testing.assert_allclose(inv[0] @ np.array([[2, 1], [1, 3]]), np.eye(2),
                                    atol=1e-14)
+
+
+_TREE = build_perfect_tree(2, 4)
+_PARAMS = init_random_stable(_TREE, 1, heads=3, seed=0)
+
+
+@pytest.mark.parametrize("method", ["solve", "matvec", "residual"])
+@pytest.mark.parametrize("bad, fragment", [
+    (random_rhs(_TREE, 1, heads=1), "right part heads 1 != parameter heads 3"),
+    (random_rhs(_TREE, 2, heads=3),
+     "right part block sizes (2, 2, 2) != parameter blocks (1, 1, 1)"),
+    (random_rhs(build_perfect_tree(2, 2), 1, heads=3), "right part has 2 levels, tree has 3"),
+    (with_nan(random_rhs(_TREE, 1, heads=3), 1), "right part level 2 contains non-finite entries"),
+], ids=["heads", "block-sizes", "depth", "non-finite"])
+def test_dense_system_refuses_what_the_solver_refuses(method, bad, fragment):
+    system = DenseSystem(_PARAMS, _TREE)
+    calls = {"solve": lambda: system.solve(bad), "matvec": lambda: system.matvec(bad),
+             "residual": lambda: system.residual(bad, bad)}
+    for call in (calls[method], lambda: solve(_PARAMS, _TREE, bad)):
+        with pytest.raises(ValueError, match=re.escape(fragment)):
+            call()
 
 
 class TestSsmReference:

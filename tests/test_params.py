@@ -207,8 +207,16 @@ _PAIR = build_perfect_tree(2, 2)  # two leaves under one root
     (lambda: init_random_stable(_PAIR, 2.5), "block size must be an integer, got 2.5"),
     (lambda: init_random_stable(_PAIR, [1, 2.5]), "block size must be an integer, got 2.5"),
     (lambda: init_random_stable(_PAIR, heads=2.5), "heads must be an integer, got 2.5"),
+    (lambda: init_random_stable(_PAIR).check_vector(_PAIR, random_rhs(_PAIR, 2)),
+     "right part block sizes (2, 2) != parameter blocks (1, 1)"),
+    (lambda: init_random_stable(_PAIR).check_vector(_PAIR, random_rhs(_PAIR, heads=3), "solution"),
+     "solution heads 3 != parameter heads 1"),
+    (lambda: init_random_stable(_PAIR).check_vector(
+        _PAIR, TreeVector((np.zeros((1, 1, 2, 1, 1)), np.full((1, 1, 1, 1, 1), np.inf)))),
+     "right part level 2 contains non-finite entries"),
 ], ids=["heads", "B-shape", "C-shape", "block-size-count", "gauge-levels", "ssm-maps",
-        "ssm-interaction", "float-block-size", "float-block-size-list", "float-heads"])
+        "ssm-interaction", "float-block-size", "float-block-size-list", "float-heads",
+        "vector-block-sizes", "vector-heads", "vector-non-finite"])
 def test_shape_errors(call, fragment):
     with pytest.raises(ValueError, match=re.escape(fragment)):
         call()

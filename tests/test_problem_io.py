@@ -1,11 +1,12 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 from treesolve import (TreeTopology, build_chain, build_perfect_tree,
                        init_random_stable, read_problem, write_problem)
-from helpers import random_rhs
+from helpers import random_rhs, with_nan
 
 
 def roundtrip(tmp_path, tree, params, u):
@@ -122,8 +123,22 @@ def test_write_rejects_right_part_with_other_heads(tmp_path):
     tree = build_perfect_tree(2, 4)
     params = init_random_stable(tree, 1, heads=2, seed=0)
     u = random_rhs(tree, 1, heads=1, batch=2, rng=np.random.default_rng(5))
-    with pytest.raises(ValueError, match="does not match"):
+    with pytest.raises(ValueError, match="right part heads 1 != parameter heads 2"):
         write_problem(tmp_path / "problem.bin", tree, params, u)
+
+
+_TREE = build_perfect_tree(2, 4)
+
+
+@pytest.mark.parametrize("u, fragment", [
+    (with_nan(random_rhs(_TREE, 1), 1), "right part level 2 contains non-finite entries"),
+    (random_rhs(_TREE, 2), "right part block sizes (2, 2, 2) != parameter blocks (1, 1, 1)"),
+], ids=["non-finite", "block-sizes"])
+def test_write_checks_right_part_like_the_solver(tmp_path, u, fragment):
+    path = tmp_path / "problem.bin"
+    with pytest.raises(ValueError, match=re.escape(fragment)):
+        write_problem(path, _TREE, init_random_stable(_TREE, 1, seed=0), u)
+    assert not path.exists()
 
 
 def _with_header(path, **changes):
@@ -136,7 +151,18 @@ def _with_header(path, **changes):
 @pytest.mark.parametrize("changes, fragment", [
     ({"block_sizes": [1, 1]}, "expected 3 block sizes, got 2"),
     ({"heads": 0}, "must be positive"),
-], ids=["block-size-count", "zero-heads"])
+    ({"heads": 2.9}, "heads must be an integer, got 2.9"),
+    ({"heads": "2"}, "heads must be an integer, got '2'"),
+    ({"batch": 1e400}, "batch must be an integer, got inf"),
+    ({"right_parts": None}, "right_parts must be an integer, got None"),
+    ({"block_sizes": [1.7, 1, 1]}, "block size must be an integer, got 1.7"),
+    ({"block_sizes": [1, -1, 1]}, "block sizes, heads, batch and right_parts must be positive"),
+    ({"tree": {"arity": 2.5, "leaf_count": 4}}, "arity must be an integer, got 2.5"),
+    ({"tree": {"level_sizes": [4.0, 2, 1], "split_sizes": [[2, 2], [2]]}},
+     "level size must be an integer, got 4.0"),
+], ids=["block-size-count", "zero-heads", "float-heads", "string-heads", "infinite-batch",
+        "null-right-parts", "float-block-size", "negative-block-size", "float-arity",
+        "float-level-size"])
 def test_header_errors(tmp_path, changes, fragment):
     tree = build_perfect_tree(2, 4)
     path = tmp_path / "problem.bin"

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -263,3 +264,30 @@ def test_splits_accessors():
     np.testing.assert_array_equal(tree.splits(0), [3, 3, 3])
     np.testing.assert_array_equal(tree.parent_indices(0), [0, 0, 0, 1, 1, 1, 2, 2, 2])
     np.testing.assert_array_equal(tree.level_offsets(), [0, 9, 12, 13])
+
+
+@pytest.mark.parametrize("call, fragment", [
+    (lambda: TreeTopology((4.5, 2, 1), ((2, 2), (2,))), "level size must be an integer, got 4.5"),
+    (lambda: TreeTopology((4, 2, 1), ((2, 2.0), (2,))), "split size must be an integer, got 2.0"),
+    (lambda: GridShape(4.5, 4), "grid height must be an integer, got 4.5"),
+    (lambda: GridShape(4, "4"), "grid width must be an integer, got '4'"),
+    (lambda: build_perfect_tree(2.0, 4), "arity must be an integer, got 2.0"),
+    (lambda: build_perfect_tree(2, 4.0), "leaf count must be an integer, got 4.0"),
+    (lambda: build_chain(3.7), "chain length must be an integer, got 3.7"),
+    (lambda: morton_index(1.5, 0, GRID4), "pixel column must be an integer, got 1.5"),
+    (lambda: snake_index(0, 1.5, GRID4), "pixel row must be an integer, got 1.5"),
+], ids=["level-size", "split-size", "grid-height", "grid-width", "arity", "leaf-count",
+        "chain-length", "morton-column", "snake-row"])
+def test_sizes_must_be_integers(call, fragment):
+    with pytest.raises(ValueError, match=re.escape(fragment)):
+        call()
+
+
+def test_numpy_integer_sizes_accepted():
+    n = np.int64
+    tree = TreeTopology((n(4), n(2), n(1)), ((n(2), np.int32(2)), (n(2),)))
+    assert tree == build_perfect_tree(n(2), n(4)) == TreeTopology((4, 2, 1), ((2, 2), (2,)))
+    assert build_chain(n(3)) == build_chain(3)
+    grid = GridShape(n(4), np.int32(4))
+    assert grid == GRID4 and build_quadtree(grid) == build_quadtree(GRID4)
+    assert morton_index(n(1), n(1), grid) == 4 and snake_index(n(3), np.int32(1), grid) == 5
