@@ -38,6 +38,10 @@ class LayerConfig:
             raise ValueError(
                 f"expected {self.tree.depth} block sizes, got {len(self.block_sizes)}"
             )
+        if any(d < 1 for d in self.block_sizes):
+            raise ValueError(f"block sizes must be positive, got {self.block_sizes}")
+        if self.heads < 1:
+            raise ValueError(f"heads must be positive, got {self.heads}")
         if self.virtual_input not in _VIRTUAL_POLICIES:
             raise ValueError(
                 f"virtual-input policy {self.virtual_input!r} not in {_VIRTUAL_POLICIES}"

@@ -10,7 +10,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .params import BlockGrads, LevelParams, TreeVector
-from .topology import TreeTopology, dfs_postorder_perm
+from .topology import TreeTopology, _integer, dfs_postorder_perm
 
 __all__ = [
     "MAX_DENSE_NODES",
@@ -70,9 +70,12 @@ class DenseSystem:
                 self.matrix[:, rows[:, :, None], parent_rows[:, None, :]] = params.B[l]
                 self.matrix[:, parent_rows[:, :, None], rows[:, None, :]] = params.C[l]
 
-    def pack(self, v: TreeVector) -> np.ndarray:
-        """Level-structured vector -> (batch, heads, N, r) in post-order rows."""
-        self.params.check_vector(self.tree, v)
+    def pack(self, v: TreeVector, what: str = "right part") -> np.ndarray:
+        """Level-structured vector -> (batch, heads, N, r) in post-order rows.
+
+        ``v`` is checked like the solver checks it; ``what`` names its role.
+        """
+        self.params.check_vector(self.tree, v, what)
         flat = np.zeros((v.batch, v.heads, self.size, v.right_parts))
         for l, rows in enumerate(self._rows):
             flat[:, :, rows.reshape(-1), :] = v.levels[l].reshape(
@@ -93,13 +96,13 @@ class DenseSystem:
         return self.unpack(np.linalg.solve(self.matrix, self.pack(u)))
 
     def matvec(self, x: TreeVector) -> TreeVector:
-        return self.unpack(self.matrix @ self.pack(x))
+        return self.unpack(self.matrix @ self.pack(x, "solution"))
 
     def inverse(self) -> np.ndarray:
         return np.linalg.inv(self.matrix)
 
     def residual(self, x: TreeVector, u: TreeVector) -> float:
-        r = self.matrix @ self.pack(x) - self.pack(u)
+        r = self.matrix @ self.pack(x, "solution") - self.pack(u)
         return float(np.max(np.abs(r)))
 
 
@@ -132,6 +135,7 @@ def chain_inverse_entry(sub_blocks: np.ndarray, i: int, j: int) -> np.ndarray:
     if sub.ndim != 3 or sub.shape[-1] != sub.shape[-2]:
         raise ValueError(f"subdiagonal blocks must be (L-1, d, d), got {sub.shape}")
     length = sub.shape[0] + 1
+    i, j = _integer(i, "index i"), _integer(j, "index j")
     if not (1 <= i <= length and 1 <= j <= length):
         raise ValueError(f"indices ({i}, {j}) outside chain of length {length}")
     d = sub.shape[-1]

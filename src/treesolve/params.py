@@ -59,6 +59,7 @@ class LevelParams:
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "C", C)
+        object.__setattr__(self, "_factors", {})  # the solver's cache, not a field
         if not A:
             raise ValueError("need at least one level of A blocks")
         if len(B) != len(A) - 1 or len(C) != len(A) - 1:

@@ -105,19 +105,27 @@ _PARAMS = init_random_stable(_TREE, 1, heads=3, seed=0)
 
 @pytest.mark.parametrize("method", ["solve", "matvec", "residual"])
 @pytest.mark.parametrize("bad, fragment", [
-    (random_rhs(_TREE, 1, heads=1), "right part heads 1 != parameter heads 3"),
-    (random_rhs(_TREE, 2, heads=3),
-     "right part block sizes (2, 2, 2) != parameter blocks (1, 1, 1)"),
-    (random_rhs(build_perfect_tree(2, 2), 1, heads=3), "right part has 2 levels, tree has 3"),
-    (with_nan(random_rhs(_TREE, 1, heads=3), 1), "right part level 2 contains non-finite entries"),
+    (random_rhs(_TREE, 1, heads=1), "heads 1 != parameter heads 3"),
+    (random_rhs(_TREE, 2, heads=3), "block sizes (2, 2, 2) != parameter blocks (1, 1, 1)"),
+    (random_rhs(build_perfect_tree(2, 2), 1, heads=3), "has 2 levels, tree has 3"),
+    (with_nan(random_rhs(_TREE, 1, heads=3), 1), "level 2 contains non-finite entries"),
 ], ids=["heads", "block-sizes", "depth", "non-finite"])
 def test_dense_system_refuses_what_the_solver_refuses(method, bad, fragment):
     system = DenseSystem(_PARAMS, _TREE)
     calls = {"solve": lambda: system.solve(bad), "matvec": lambda: system.matvec(bad),
              "residual": lambda: system.residual(bad, bad)}
-    for call in (calls[method], lambda: solve(_PARAMS, _TREE, bad)):
-        with pytest.raises(ValueError, match=re.escape(fragment)):
+    # matvec and residual take the bad vector as a solution first
+    role = "right part" if method == "solve" else "solution"
+    for call, what in ((calls[method], role), (lambda: solve(_PARAMS, _TREE, bad), "right part")):
+        with pytest.raises(ValueError, match=re.escape(f"{what} {fragment}")):
             call()
+
+
+def test_residual_names_a_bad_right_part():
+    system = DenseSystem(_PARAMS, _TREE)
+    x = random_rhs(_TREE, 1, heads=3)
+    with pytest.raises(ValueError, match=re.escape("right part heads 1 != parameter heads 3")):
+        system.residual(x, random_rhs(_TREE, 1, heads=1))
 
 
 class TestSsmReference:
@@ -164,6 +172,21 @@ class TestChainInverse:
             for j in range(1, 5):
                 want = np.eye(2) if i == j else np.zeros((2, 2))
                 np.testing.assert_array_equal(chain_inverse_entry(sub, i, j), want)
+
+    @pytest.mark.parametrize("i, j, fragment", [
+        (2.5, 1, "index i must be an integer, got 2.5"),
+        (1, "2", "index j must be an integer, got '2'"),
+        (np.float64(2.0), 1, "index i must be an integer"),
+        (0, 1, "indices (0, 1) outside chain of length 3"),
+        (1, 4, "indices (1, 4) outside chain of length 3"),
+    ], ids=["float-i", "string-j", "numpy-float-i", "i-below", "j-above"])
+    def test_bad_index_is_value_error(self, i, j, fragment):
+        with pytest.raises(ValueError, match=re.escape(fragment)):
+            chain_inverse_entry(np.ones((2, 1, 1)), i, j)
+
+    def test_numpy_integer_index_accepted(self):
+        sub = np.array([[[2.0]], [[3.0]]])
+        assert chain_inverse_entry(sub, np.int64(3), np.int32(1))[0, 0] == 6.0
 
     @pytest.mark.parametrize("L,d", [(8, 1), (12, 2)])
     def test_matches_dense_inverse(self, L, d):

@@ -20,7 +20,7 @@ class TestUpwardStep:
         # A1=2, B1=1, C1=1, A_root=3, u1=2, u_root=1
         carry = LevelData(scalar(2), scalar(1), scalar(1), scalar(2)[None])
         parent = LevelData(scalar(3), None, None, scalar(1)[None])
-        new_carry, (u_hat, b_hat) = upward_step(carry, parent, [1])
+        new_carry, (u_hat, b_hat, _) = upward_step(carry, parent, [1])
         assert b_hat.reshape(-1)[0] == -0.5
         assert u_hat.reshape(-1)[0] == 1.0
         assert new_carry.A.reshape(-1)[0] == 2.5
@@ -31,7 +31,7 @@ class TestUpwardStep:
         a_c, a_p = rng.standard_normal((1, 3, 2, 2)) + 3 * np.eye(2), scalar(4)
         u_c, u_p = rng.standard_normal((1, 1, 3, 2, 1)), scalar(7)[None]
         carry = LevelData(a_c, np.zeros((1, 3, 2, 1)), np.zeros((1, 3, 1, 2)), u_c)
-        new_carry, (u_hat, b_hat) = upward_step(carry, LevelData(a_p, None, None, u_p), [3])
+        new_carry, (u_hat, b_hat, _) = upward_step(carry, LevelData(a_p, None, None, u_p), [3])
         np.testing.assert_allclose(new_carry.A, a_p)
         np.testing.assert_allclose(new_carry.u, u_p)
         np.testing.assert_array_equal(b_hat, 0)
@@ -460,3 +460,135 @@ def _right_part(tree, heads=1):
 def test_structure_errors(call, fragment):
     with pytest.raises(ValueError, match=re.escape(fragment)):
         call()
+
+
+def _arrays(result):
+    """Every array of a solve, transpose solve or vjp result, in order."""
+    if isinstance(result, np.ndarray):
+        return [result]
+    if isinstance(result, TreeVector):
+        return list(result.levels)
+    return [a for part in result for a in _arrays(part)]
+
+
+def _assert_identical(got, want):
+    got, want = _arrays(got), _arrays(want)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+
+
+def _twin(params):
+    """A new instance with the same blocks, so it has no cached factor."""
+    return LevelParams(params.A, params.B, params.C)
+
+
+class TestFactorCache:
+    """Repeat calls on one instance reuse its factor and still equal first calls."""
+
+    TREES = {
+        "quadtree": lambda: build_perfect_tree(4, 16),
+        "chain": lambda: build_chain(9),
+        "irregular-childless": lambda: TreeTopology((2, 2, 1), ((2, 0), (2,))),
+    }
+
+    @pytest.mark.parametrize("name", TREES)
+    def test_repeat_calls_equal_a_fresh_instance(self, name):
+        tree = self.TREES[name]()
+        rng = np.random.default_rng(40)
+        params = random_params(tree, 2, heads=2, rng=rng)
+        for batch in (1, 3, 2):  # first, second and third call, each with new inputs
+            u, g = (random_rhs(tree, 2, heads=2, batch=batch, rng=rng) for _ in range(2))
+            x = solve(params, tree, u)
+            _assert_identical(x, solve(_twin(params), tree, u))
+            _assert_identical(solve_transpose(params, tree, g),
+                              solve_transpose(_twin(params), tree, g))
+            _assert_identical(vjp(params, tree, u, x, g), vjp(_twin(params), tree, u, x, g))
+
+    def test_repeat_calls_skip_the_parameter_half(self, monkeypatch):
+        import treesolve.solver as solver_module
+        calls = []
+        step = solver_module.upward_step
+        monkeypatch.setattr(solver_module, "upward_step",
+                            lambda *a, **k: calls.append(1) or step(*a, **k))
+        tree = build_perfect_tree(2, 8)
+        params = random_params(tree, 2, rng=np.random.default_rng(41))
+        u = random_rhs(tree, 2, rng=np.random.default_rng(42))
+        counts = []
+        for call in (solve, solve, solve_transpose, solve_transpose, solve_with_stats):
+            calls.clear()
+            call(params, tree, u)
+            counts.append(len(calls))
+        assert counts == [tree.depth - 1, 0, tree.depth - 1, 0, 0]
+
+    def test_one_instance_on_two_trees_with_equal_level_sizes(self):
+        trees = [TreeTopology((4, 2, 1), ((2, 2), (2,))), TreeTopology((4, 2, 1), ((3, 1), (2,)))]
+        rng = np.random.default_rng(43)
+        params = random_params(trees[0], 2, heads=2, rng=rng)
+        for _ in range(2):
+            for tree in trees:
+                u = random_rhs(tree, 2, heads=2, rng=rng)
+                system = DenseSystem(params, tree)
+                assert rel_err(solve(params, tree, u), system.solve(u)) < 1e-11
+                want = system.unpack(np.linalg.solve(system.matrix.swapaxes(-1, -2),
+                                                     system.pack(u)))
+                assert rel_err(solve_transpose(params, tree, u), want) < 1e-11
+
+    @pytest.mark.parametrize("A_root, where", [(0.0, "level 2, node 1"), (1.0, "level 3, node 1")],
+                             ids=["below-root", "root"])
+    def test_singular_block_raises_again_at_the_same_place(self, A_root, where):
+        # chain 1-2-3 with A_2 = 0, or A_2 = 1 whose B = C = 1 cancel the root's A_3 = 1
+        tree = build_chain(3)
+        one = np.ones((1, 1, 1, 1))
+        params = LevelParams((one, A_root * one, one), (0 * one, one), (one, one))
+        u = random_rhs(tree, 1, rng=np.random.default_rng(44))
+        for call in (solve, solve_transpose):
+            found = []
+            for _ in range(2):
+                with pytest.raises(SingularBlockError) as info:
+                    call(params, tree, u)
+                e = info.value
+                found.append((e.level, e.node, e.head, e.block_index, e.pivot_step, str(e)))
+            assert found[0] == found[1]
+            assert where in found[0][-1]
+
+    def test_equality_and_repr_ignore_the_cache(self):
+        import dataclasses
+        tree = build_chain(3)
+        params = init_random_stable(tree, 1, seed=3)  # one-entry blocks, so == is decidable
+        twin, before = _twin(params), repr(params)
+        u = random_rhs(tree, 1, rng=np.random.default_rng(45))
+        solve(params, tree, u)
+        vjp(params, tree, u, solve(params, tree, u), u)
+        assert repr(params) == before == repr(twin)
+        assert params == twin
+        assert [f.name for f in dataclasses.fields(params)] == ["A", "B", "C"]
+
+    def test_concurrent_first_calls_equal_serial_ones(self):
+        import sys
+        import threading
+        from concurrent.futures import ThreadPoolExecutor
+        rng = np.random.default_rng(46)
+        tree = build_perfect_tree(2, 64)
+        params = random_params(tree, 2, heads=2, rng=rng)
+        jobs = [(call, random_rhs(tree, 2, heads=2, batch=2, rng=rng))
+                for call in (solve, solve_transpose) * 2]
+        serial = [call(_twin(params), tree, v) for call, v in jobs]
+        shared = _twin(params)
+        start = threading.Barrier(len(jobs), timeout=30)
+
+        def run(job):
+            start.wait()  # every call starts on the uncached instance together
+            return job[0](shared, tree, job[1])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, inside the cache's check and store
+        try:
+            with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
+                parallel = list(pool.map(run, jobs, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        for a, b in zip(parallel, serial):
+            _assert_identical(a, b)
+        for (call, v), want in zip(jobs, serial):  # and the cached factors they left
+            _assert_identical(call(shared, tree, v), want)
