@@ -58,22 +58,21 @@ def _ones_like(u: TreeVector) -> TreeVector:
     return TreeVector(tuple(np.ones_like(v) for v in u.levels))
 
 
-def _rhs_rng(seed: int) -> np.random.Generator:
+def _problem(arity, leaves, block_size, heads, batch, rhs, seed, gamma):
+    """A perfect tree, stable random parameters and a normal right part, all fixed by ``seed``."""
+    tree = build_perfect_tree(arity, leaves)
+    params = init_random_stable(tree, block_sizes=block_size, heads=heads,
+                                seed=seed, coupling_scale=gamma)
     # separate stream from the parameter init, still fully determined by seed
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
+    u = TreeVector(tuple(rng.standard_normal((batch, heads, n, block_size, rhs))
+                         for n in tree.level_sizes))
+    return tree, params, u
 
 
 def cmd_gen(args) -> int:
-    tree = build_perfect_tree(args.arity, args.leaves)
-    params = init_random_stable(
-        tree, block_sizes=args.block_size, heads=args.heads,
-        seed=args.seed, coupling_scale=args.gamma,
-    )
-    rng = _rhs_rng(args.seed)
-    u = TreeVector(tuple(
-        rng.standard_normal((args.batch, args.heads, n, args.block_size, args.rhs))
-        for n in tree.level_sizes
-    ))
+    tree, params, u = _problem(args.arity, args.leaves, args.block_size, args.heads,
+                               args.batch, args.rhs, args.seed, args.gamma)
     write_problem(args.out, tree, params, u)
     print(f"wrote {args.out}: {tree.total_nodes} nodes, depth {tree.depth}, "
           f"block size {args.block_size}, heads {args.heads}, "
@@ -100,17 +99,11 @@ def cmd_verify(args) -> int:
 def cmd_bench(args) -> int:
     rows = []
     for leaves in args.sizes:
-        tree = build_perfect_tree(args.arity, leaves)
-        params = init_random_stable(
-            tree, block_sizes=args.block_size, seed=args.seed, coupling_scale=0.5
-        )
-        rng = _rhs_rng(args.seed)
-        u = TreeVector(tuple(
-            rng.standard_normal((1, 1, n, args.block_size, 1))
-            for n in tree.level_sizes
-        ))
         best = np.inf
         for _ in range(args.repeats):
+            # a fresh instance per repeat, so no repeat reuses a cached factor
+            tree, params, u = _problem(args.arity, leaves, args.block_size, heads=1, batch=1,
+                                       rhs=1, seed=args.seed, gamma=0.5)
             t0 = time.perf_counter()
             _, stats = solve_with_stats(params, tree, u)
             best = min(best, time.perf_counter() - t0)

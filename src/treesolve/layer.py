@@ -11,9 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import LevelParams, TreeVector
+from .params import LevelParams, TreeVector, _block_size_list
 from .solver import segment_sum, solve
-from .topology import TreeTopology, _integer, build_chain
+from .topology import TreeTopology, _integer, _positive, build_chain
 
 __all__ = ["LayerConfig", "build_input", "forward", "aggregate_topk",
            "bidirectional_chain_forward"]
@@ -30,18 +30,10 @@ class LayerConfig:
     top_levels: int = 1  # BFS levels averaged by aggregate_topk, root first
 
     def __post_init__(self):
-        sizes = tuple(_integer(d, "block size") for d in self.block_sizes)
+        sizes = tuple(_block_size_list(self.block_sizes, self.tree.depth))
         object.__setattr__(self, "block_sizes", sizes)
-        object.__setattr__(self, "heads", _integer(self.heads, "heads"))
+        object.__setattr__(self, "heads", _positive(self.heads, "heads"))
         object.__setattr__(self, "top_levels", _integer(self.top_levels, "top_levels"))
-        if len(self.block_sizes) != self.tree.depth:
-            raise ValueError(
-                f"expected {self.tree.depth} block sizes, got {len(self.block_sizes)}"
-            )
-        if any(d < 1 for d in self.block_sizes):
-            raise ValueError(f"block sizes must be positive, got {self.block_sizes}")
-        if self.heads < 1:
-            raise ValueError(f"heads must be positive, got {self.heads}")
         if self.virtual_input not in _VIRTUAL_POLICIES:
             raise ValueError(
                 f"virtual-input policy {self.virtual_input!r} not in {_VIRTUAL_POLICIES}"

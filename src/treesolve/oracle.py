@@ -231,10 +231,6 @@ def chain_tridiagonal_blocks(params: LevelParams):
     return diag, sub, sup
 
 
-def _dense_loss(params, tree, u, loss):
-    return float(loss(DenseSystem(params, tree).solve(u)))
-
-
 def finite_diff_grad(params: LevelParams, tree: TreeTopology, u: TreeVector,
                      loss, eps: float = 1e-5):
     """Central-difference gradients of ``loss(solve(...))`` for every scalar.
@@ -246,33 +242,26 @@ def finite_diff_grad(params: LevelParams, tree: TreeTopology, u: TreeVector,
     """
     if not (np.isfinite(eps) and eps > 0):
         raise ValueError(f"step must be positive and finite, got {eps}")
+    D = params.depth
 
-    def central(build):
-        # build(t) returns (params, u) with one entry shifted by t
-        p_up, u_up = build(eps)
-        p_dn, u_dn = build(-eps)
-        return (_dense_loss(p_up, tree, u_up, loss)
-                - _dense_loss(p_dn, tree, u_dn, loss)) / (2 * eps)
+    def split(flat):
+        # [*A, *B, *C, *u.levels] -> (A, B, C, u.levels)
+        return (tuple(flat[:D]), tuple(flat[D : 2 * D - 1]),
+                tuple(flat[2 * D - 1 : 3 * D - 2]), tuple(flat[3 * D - 2 :]))
 
-    def grad_of_family(arrays, rebuild):
-        grads = []
-        for l, arr in enumerate(arrays):
-            g = np.zeros_like(arr)
-            for idx in np.ndindex(arr.shape):
-                def build(t, l=l, idx=idx):
-                    bumped = [a.copy() for a in arrays]
-                    bumped[l][idx] += t
-                    return rebuild(bumped)
-                g[idx] = central(build)
-            grads.append(g)
-        return tuple(grads)
+    arrays = [np.array(a) for a in (*params.A, *params.B, *params.C, *u.levels)]
+    grads = [np.zeros_like(a) for a in arrays]
 
-    grad_A = grad_of_family(params.A, lambda arrs: (
-        LevelParams(tuple(arrs), params.B, params.C), u))
-    grad_B = grad_of_family(params.B, lambda arrs: (
-        LevelParams(params.A, tuple(arrs), params.C), u))
-    grad_C = grad_of_family(params.C, lambda arrs: (
-        LevelParams(params.A, params.B, tuple(arrs)), u))
-    grad_u_levels = grad_of_family(u.levels, lambda arrs: (
-        params, TreeVector(tuple(arrs))))
-    return TreeVector(grad_u_levels), BlockGrads(grad_A, grad_B, grad_C)
+    def loss_at(arr, idx, value):
+        # writes value into arr in place; the caller restores the entry
+        arr[idx] = value
+        A, B, C, levels = split(arrays)
+        return float(loss(DenseSystem(LevelParams(A, B, C), tree).solve(TreeVector(levels))))
+
+    for arr, g in zip(arrays, grads):
+        for idx in np.ndindex(arr.shape):
+            x = arr[idx]
+            g[idx] = (loss_at(arr, idx, x + eps) - loss_at(arr, idx, x - eps)) / (2 * eps)
+            arr[idx] = x
+    A, B, C, levels = split(grads)
+    return TreeVector(levels), BlockGrads(A, B, C)

@@ -18,7 +18,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .linalg import SingularBlockError, invert_level, lu_factor, lu_solve
-from .topology import TreeTopology, _integer
+from .topology import TreeTopology, _integer, _positive
 
 __all__ = [
     "LevelParams",
@@ -235,9 +235,7 @@ def init_random_stable(tree: TreeTopology, block_sizes=1, heads: int = 1,
     """
     if not (np.isfinite(coupling_scale) and coupling_scale >= 0):
         raise ValueError(f"coupling scale must be finite and nonnegative, got {coupling_scale}")
-    heads = _integer(heads, "heads")
-    if heads < 1:
-        raise ValueError(f"heads must be positive, got {heads}")
+    heads = _positive(heads, "heads")
     sizes = _block_size_list(block_sizes, tree.depth)
     rng = np.random.default_rng(seed)
     A = tuple(

@@ -15,8 +15,8 @@ import json
 
 import numpy as np
 
-from .params import LevelParams, TreeVector
-from .topology import TreeTopology, _integer, build_perfect_tree
+from .params import LevelParams, TreeVector, _block_size_list
+from .topology import TreeTopology, _positive, build_perfect_tree
 
 __all__ = ["FORMAT_VERSION", "write_problem", "read_problem"]
 
@@ -75,16 +75,14 @@ def read_problem(path):
         raise ValueError(f"unsupported format version {version!r}")
     try:
         tree = _tree_from_header(header["tree"])
-        d = [_integer(x, "block size") for x in header["block_sizes"]]
-        heads, batch, r = (_integer(header[k], k) for k in ("heads", "batch", "right_parts"))
+        if not isinstance(header["block_sizes"], list):
+            raise TypeError(f"block_sizes must be a list, got {header['block_sizes']!r}")
+        d = _block_size_list(header["block_sizes"], tree.depth)
+        heads, batch, r = (_positive(header[k], k) for k in ("heads", "batch", "right_parts"))
     except KeyError as e:
         raise ValueError(f"malformed problem header: missing key {e}") from None
     except (TypeError, AttributeError) as e:
         raise ValueError(f"malformed problem header: {e}") from None
-    if len(d) != tree.depth:
-        raise ValueError(f"expected {tree.depth} block sizes, got {len(d)}")
-    if min(heads, batch, r, *d) < 1:
-        raise ValueError("block sizes, heads, batch and right_parts must be positive")
     n = tree.level_sizes
     shapes = (
         [(heads, n[l], d[l], d[l]) for l in range(tree.depth)]

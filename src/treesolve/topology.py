@@ -36,6 +36,14 @@ def _integer(value, what: str) -> int:
         raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
+def _positive(value, what: str) -> int:
+    """``value`` by :func:`_integer`; a count below 1 is a ValueError."""
+    value = _integer(value, what)
+    if value < 1:
+        raise ValueError(f"{what} must be positive, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class GridShape:
     """Pixel grid dimensions. Quadtree/Morton use requires a 2^d x 2^d grid."""
@@ -44,10 +52,8 @@ class GridShape:
     width: int
 
     def __post_init__(self):
-        object.__setattr__(self, "height", _integer(self.height, "grid height"))
-        object.__setattr__(self, "width", _integer(self.width, "grid width"))
-        if self.height < 1 or self.width < 1:
-            raise ValueError(f"grid dimensions must be positive, got {self.height}x{self.width}")
+        object.__setattr__(self, "height", _positive(self.height, "grid height"))
+        object.__setattr__(self, "width", _positive(self.width, "grid width"))
 
     @property
     def pixels(self) -> int:
@@ -77,14 +83,12 @@ class TreeTopology:
     split_sizes: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        sizes = tuple(_integer(n, "level size") for n in self.level_sizes)
+        sizes = tuple(_positive(n, "level size") for n in self.level_sizes)
         splits = tuple(tuple(_integer(s, "split size") for s in grp) for grp in self.split_sizes)
         object.__setattr__(self, "level_sizes", sizes)
         object.__setattr__(self, "split_sizes", splits)
         if not self.level_sizes:
             raise ValueError("a tree needs at least one level")
-        if any(n < 1 for n in self.level_sizes):
-            raise ValueError(f"level sizes must be positive, got {self.level_sizes}")
         if self.level_sizes[-1] != 1:
             raise ValueError(f"root level must hold exactly one node, got {self.level_sizes[-1]}")
         if len(self.split_sizes) != len(self.level_sizes) - 1:
@@ -134,11 +138,7 @@ def build_perfect_tree(arity: int, leaf_count: int) -> TreeTopology:
     ``leaf_count = arity**d`` gives ``d + 1`` levels with sizes
     ``arity**d, arity**(d-1), ..., 1``.
     """
-    arity, leaf_count = _integer(arity, "arity"), _integer(leaf_count, "leaf count")
-    if arity < 1:
-        raise ValueError(f"arity must be a positive integer, got {arity}")
-    if leaf_count < 1:
-        raise ValueError(f"leaf count must be positive, got {leaf_count}")
+    arity, leaf_count = _positive(arity, "arity"), _positive(leaf_count, "leaf count")
     sizes = [leaf_count]
     n = leaf_count
     while n > 1:
@@ -166,9 +166,7 @@ def build_quadtree(grid: GridShape) -> TreeTopology:
 
 def build_chain(length: int) -> TreeTopology:
     """Chain of ``length`` nodes: one node per level, leaf at one end, root at the other."""
-    length = _integer(length, "chain length")
-    if length < 1:
-        raise ValueError(f"chain length must be positive, got {length}")
+    length = _positive(length, "chain length")
     return TreeTopology((1,) * length, ((1,),) * (length - 1))
 
 

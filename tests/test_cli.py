@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import treesolve
-from treesolve import cli, read_problem, write_problem
+from treesolve import cli, read_problem, solver, write_problem
 from treesolve.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VERIFY,
                            main)
 from treesolve.oracle import MAX_DENSE_NODES
@@ -179,6 +179,16 @@ class TestBench:
             ops = [int(r["block_op_count"]) for r in csv.DictReader(f)]
         for small, big in zip(ops, ops[1:]):
             assert 1.8 <= big / small <= 2.2
+
+
+    def test_every_repeat_times_a_full_elimination(self, tmp_path, monkeypatch):
+        calls = []
+        step = solver.upward_step
+        monkeypatch.setattr(solver, "upward_step", lambda *a, **k: calls.append(1) or step(*a, **k))
+        assert main(["bench", "--arity", "2", "--sizes", "16", "--repeats", "3",
+                     "--out", str(tmp_path / "bench.csv")]) == EXIT_OK
+        depth = 5  # 16 leaves, 8, 4, 2 and the root
+        assert len(calls) == 3 * (depth - 1)
 
 
 class TestFlatten:

@@ -237,6 +237,11 @@ def test_config_and_input_errors(call, fragment):
         call()
 
 
+def test_scalar_block_size_covers_every_level():
+    tree = build_perfect_tree(2, 8)
+    assert LayerConfig(tree, 2).block_sizes == (2,) * tree.depth
+
+
 def test_numpy_integer_config_accepted():
     config = LayerConfig(_PAIR, (np.int64(1), np.int32(1)), heads=np.int64(2),
                          top_levels=np.int64(2))

@@ -67,6 +67,10 @@ class TestStableInit:
         with pytest.raises(ValueError, match="block sizes must be positive"):
             init_random_stable(build_perfect_tree(2, 4), sizes)
 
+    def test_rejects_zero_heads(self):
+        with pytest.raises(ValueError, match="^heads must be positive, got 0$"):
+            init_random_stable(build_perfect_tree(2, 4), heads=0)
+
     def test_numpy_integer_sizes_accepted(self):
         params = init_random_stable(build_perfect_tree(2, 4), np.int64(2), heads=np.int32(3))
         assert params.block_sizes == (2, 2, 2) and params.heads == 3

@@ -150,24 +150,27 @@ def _with_header(path, **changes):
 
 @pytest.mark.parametrize("changes, fragment", [
     ({"block_sizes": [1, 1]}, "expected 3 block sizes, got 2"),
-    ({"heads": 0}, "must be positive"),
+    ({"heads": 0}, "heads must be positive, got 0"),
     ({"heads": 2.9}, "heads must be an integer, got 2.9"),
     ({"heads": "2"}, "heads must be an integer, got '2'"),
     ({"batch": 1e400}, "batch must be an integer, got inf"),
     ({"right_parts": None}, "right_parts must be an integer, got None"),
     ({"block_sizes": [1.7, 1, 1]}, "block size must be an integer, got 1.7"),
-    ({"block_sizes": [1, -1, 1]}, "block sizes, heads, batch and right_parts must be positive"),
+    ({"block_sizes": [1, -1, 1]}, "block sizes must be positive, got [1, -1, 1]"),
     ({"tree": {"arity": 2.5, "leaf_count": 4}}, "arity must be an integer, got 2.5"),
     ({"tree": {"level_sizes": [4.0, 2, 1], "split_sizes": [[2, 2], [2]]}},
      "level size must be an integer, got 4.0"),
+    ({"batch": 0}, "batch must be positive, got 0"),
+    ({"right_parts": -1}, "right_parts must be positive, got -1"),
+    ({"block_sizes": 2}, "malformed problem header: block_sizes must be a list, got 2"),
 ], ids=["block-size-count", "zero-heads", "float-heads", "string-heads", "infinite-batch",
         "null-right-parts", "float-block-size", "negative-block-size", "float-arity",
-        "float-level-size"])
+        "float-level-size", "zero-batch", "negative-right-parts", "scalar-block-sizes"])
 def test_header_errors(tmp_path, changes, fragment):
     tree = build_perfect_tree(2, 4)
     path = tmp_path / "problem.bin"
     write_problem(path, tree, init_random_stable(tree, 1, seed=0),
                   random_rhs(tree, 1, rng=np.random.default_rng(6)))
     _with_header(path, **changes)
-    with pytest.raises(ValueError, match=fragment):
+    with pytest.raises(ValueError, match=re.escape(fragment)):
         read_problem(path)

@@ -283,6 +283,19 @@ def test_sizes_must_be_integers(call, fragment):
         call()
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: TreeTopology((2, 0, 1), ((2,), (0,))), "level size must be positive, got 0"),
+    (lambda: GridShape(0, 4), "grid height must be positive, got 0"),
+    (lambda: GridShape(4, -1), "grid width must be positive, got -1"),
+    (lambda: build_perfect_tree(0, 4), "arity must be positive, got 0"),
+    (lambda: build_perfect_tree(2, 0), "leaf count must be positive, got 0"),
+    (lambda: build_chain(0), "chain length must be positive, got 0"),
+], ids=["level-size", "grid-height", "grid-width", "arity", "leaf-count", "chain-length"])
+def test_counts_must_be_positive(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
 def test_numpy_integer_sizes_accepted():
     n = np.int64
     tree = TreeTopology((n(4), n(2), n(1)), ((n(2), np.int32(2)), (n(2),)))
