@@ -42,8 +42,17 @@ class LayerConfig:
             raise ValueError(
                 f"top_levels must be in [1, {self.tree.depth}], got {self.top_levels}"
             )
-        if self.virtual_input == "mean" and len(set(self.block_sizes)) > 1:
-            raise ValueError("mean virtual-input policy requires a uniform block size")
+        if self.virtual_input == "mean":
+            if len(set(self.block_sizes)) > 1:
+                raise ValueError("mean virtual-input policy requires a uniform block size")
+            # a node that covers no leaves is, or sits above, a childless non-leaf node
+            for l in range(self.tree.depth - 1):
+                full = self.tree.child_groups(l).full
+                if full is not None:
+                    raise ValueError(
+                        f"mean virtual-input policy needs every node to cover a leaf, but "
+                        f"node {int(np.argmin(full)) + 1} of level {l + 2} covers none"
+                    )
 
 
 def build_input(config: LayerConfig, leaf_inputs: np.ndarray) -> TreeVector:
@@ -79,7 +88,7 @@ def build_input(config: LayerConfig, leaf_inputs: np.ndarray) -> TreeVector:
         sums = levels[0]
         counts = np.ones(tree.level_sizes[0])
         for l in range(1, tree.depth):
-            split = tree.splits(l - 1)
+            split = tree.child_groups(l - 1)
             sums = segment_sum(sums, split, axis=2)
             counts = segment_sum(counts, split, axis=0)
             levels.append(sums / counts[None, None, :, None, None])

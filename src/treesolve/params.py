@@ -211,7 +211,7 @@ class BlockGrads(NamedTuple):
 
 
 def _block_size_list(block_sizes, depth: int) -> list[int]:
-    if np.isscalar(block_sizes):
+    if np.ndim(block_sizes) == 0:
         sizes = [_integer(block_sizes, "block size")] * depth
     else:
         sizes = [_integer(d, "block size") for d in block_sizes]

@@ -7,11 +7,15 @@ documentation, error messages and file formats.
 
 import operator
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 __all__ = [
     "GridShape",
+    "ChildGroups",
+    "ONE_CHILD",
     "TreeTopology",
     "build_perfect_tree",
     "build_quadtree",
@@ -63,6 +67,45 @@ class GridShape:
         return self.height == self.width and _is_power_of_two(self.height)
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+class ChildGroups(NamedTuple):
+    """Read-only index data of one level's child groups, one group per parent.
+
+    ``sizes`` counts each parent's children and ``parents`` gives each
+    child's parent.  ``starts`` are the ``np.add.reduceat`` offsets of the
+    non-empty groups, and ``full`` marks those groups, or is None when no
+    group is empty.  :data:`ONE_CHILD`, whose fields are all None, stands for
+    every level on which each parent has exactly one child: there all of this
+    is an identity, so nothing is stored.
+    """
+
+    sizes: Optional[np.ndarray]
+    starts: Optional[np.ndarray]
+    full: Optional[np.ndarray]
+    parents: Optional[np.ndarray]
+
+    @classmethod
+    def of(cls, split) -> "ChildGroups":
+        """The groups of ``split``, child counts per parent; ChildGroups pass through."""
+        if isinstance(split, ChildGroups):
+            return split
+        split = tuple(split)  # a tuple is itself, so a chain allocates nothing per level
+        if split.count(1) == len(split):
+            return ONE_CHILD
+        sizes = np.array(split, dtype=np.int64)
+        full = sizes > 0
+        return cls(_read_only(sizes), _read_only((np.cumsum(sizes) - sizes)[full]),
+                   None if full.all() else _read_only(full),
+                   _read_only(np.repeat(np.arange(len(sizes)), sizes)))
+
+
+ONE_CHILD = ChildGroups(None, None, None, None)
+
+
 @dataclass(frozen=True)
 class TreeTopology:
     """A rooted tree as per-level node counts and contiguous child groups.
@@ -77,6 +120,10 @@ class TreeTopology:
         entries sum to ``level_sizes[l]``.  Children of a common parent are
         contiguous by construction; the representation cannot express
         anything else.
+
+    Each level's :class:`ChildGroups` are computed on first use and kept on
+    the instance, outside the fields, so equality, hashing and ``repr`` see
+    only the two tuples above.
     """
 
     level_sizes: tuple[int, ...]
@@ -118,14 +165,27 @@ class TreeTopology:
     def total_nodes(self) -> int:
         return sum(self.level_sizes)
 
+    @cached_property
+    def _child_groups(self) -> tuple:
+        return tuple(ChildGroups.of(grp) for grp in self.split_sizes)
+
+    def child_groups(self, child_level: int) -> ChildGroups:
+        """Child groups of the parents above 0-based level ``child_level``."""
+        return self._child_groups[child_level]
+
     def splits(self, child_level: int) -> np.ndarray:
         """Child-group sizes for the parents above 0-based level ``child_level``."""
-        return np.asarray(self.split_sizes[child_level], dtype=np.int64)
+        sizes = self.child_groups(child_level).sizes
+        if sizes is None:
+            return _read_only(np.ones(self.level_sizes[child_level], dtype=np.int64))
+        return sizes
 
     def parent_indices(self, child_level: int) -> np.ndarray:
         """Index within level ``child_level + 1`` of each node's parent."""
-        sizes = self.splits(child_level)
-        return np.repeat(np.arange(len(sizes)), sizes)
+        parents = self.child_groups(child_level).parents
+        if parents is None:
+            return _read_only(np.arange(self.level_sizes[child_level]))
+        return parents
 
     def level_offsets(self) -> np.ndarray:
         """Global BFS offset of each level (length depth + 1)."""

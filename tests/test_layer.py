@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from treesolve import (DenseSystem, GridShape, LayerConfig, LevelParams,
-                       TreeVector, aggregate_topk, bidiagonal_solve,
+                       TreeTopology, TreeVector, aggregate_topk, bidiagonal_solve,
                        build_chain, build_perfect_tree, build_quadtree,
                        flatten_image, forward, init_random_stable, solve,
                        ssm_reference, tridiag_bidiagonal_factor)
@@ -239,7 +239,20 @@ def test_config_and_input_errors(call, fragment):
 
 def test_scalar_block_size_covers_every_level():
     tree = build_perfect_tree(2, 8)
-    assert LayerConfig(tree, 2).block_sizes == (2,) * tree.depth
+    for size in (2, np.int64(2), np.array(2)):
+        assert LayerConfig(tree, size).block_sizes == (2,) * tree.depth
+
+
+@pytest.mark.parametrize("tree, where", [
+    (TreeTopology((3, 2, 1), ((3, 0), (2,))), "node 2 of level 2"),
+    (TreeTopology((2, 1, 2, 1), ((2,), (0, 1), (2,))), "node 1 of level 3"),
+    # node 2 of level 3 covers no leaves through its one childless child, which is named
+    (TreeTopology((2, 2, 2, 1), ((2, 0), (1, 1), (2,))), "node 2 of level 2"),
+], ids=["childless", "childless-higher-level", "childless-subtree"])
+def test_mean_policy_refuses_nodes_that_cover_no_leaves(tree, where):
+    with pytest.raises(ValueError, match=f"^mean virtual-input policy .*{where} covers none$"):
+        LayerConfig(tree, 1, virtual_input="mean")
+    LayerConfig(tree, 1, virtual_input="zeros")  # zeros needs no covered leaves
 
 
 def test_numpy_integer_config_accepted():

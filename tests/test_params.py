@@ -75,6 +75,13 @@ class TestStableInit:
         params = init_random_stable(build_perfect_tree(2, 4), np.int64(2), heads=np.int32(3))
         assert params.block_sizes == (2, 2, 2) and params.heads == 3
 
+    def test_zero_dimensional_array_is_one_size_for_every_level(self):
+        tree = build_perfect_tree(2, 4)
+        got, want = init_random_stable(tree, np.array(2)), init_random_stable(tree, 2)
+        assert got.block_sizes == (2, 2, 2)
+        for a, b in zip(got.A + got.B + got.C, want.A + want.B + want.C):
+            assert np.array_equal(a, b)
+
     @pytest.mark.parametrize("gamma", [np.nan, np.inf])
     def test_rejects_non_finite_coupling_scale(self, gamma):
         with pytest.raises(ValueError, match="coupling scale must be finite"):

@@ -7,7 +7,9 @@ from treesolve import (DenseSystem, LevelData, LevelParams, SingularBlockError,
                        TreeTopology, TreeVector, build_chain,
                        build_perfect_tree, init_random_stable, solve,
                        solve_transpose, solve_with_stats, upward_step, vjp)
-from treesolve.solver import downward_step, downward_sweep, segment_sum, upward_sweep
+from treesolve.linalg import invert_level
+from treesolve.solver import (downward_step, downward_sweep, segment_sum, transpose_params,
+                              upward_sweep)
 from helpers import dot, jvp, perturbation_like, random_params, random_rhs, rel_err
 
 
@@ -592,3 +594,88 @@ class TestFactorCache:
             _assert_identical(a, b)
         for (call, v), want in zip(jobs, serial):  # and the cached factors they left
             _assert_identical(call(shared, tree, v), want)
+
+
+def _level_loop(params, tree, u):
+    """solve as a plain level loop that hands the steps raw split-size lists."""
+    def level(l):
+        up = l < tree.depth - 1
+        return LevelData(params.A[l], params.B[l] if up else None,
+                         params.C[l] if up else None, u.levels[l])
+
+    carry, hats = level(0), []
+    for l in range(1, tree.depth):
+        carry, (u_hat, b_hat, _) = upward_step(carry, level(l), list(tree.split_sizes[l - 1]),
+                                               child_level=l - 1)
+        hats.append((u_hat, b_hat))
+    xs = [invert_level(carry.A, tree.depth) @ carry.u]
+    for l in range(tree.depth - 2, -1, -1):
+        xs.insert(0, downward_step(*hats[l], xs[0], list(tree.split_sizes[l])))
+    return TreeVector(tuple(xs))
+
+
+def _level_loop_vjp(params, tree, x, g):
+    """vjp from the level loop, gathering parents by index on every level."""
+    y = _level_loop(transpose_params(params), tree, g)
+    outer = lambda a, b: -np.einsum("bhnir,bhnjr->hnij", a, b)
+    grad_A = tuple(outer(y_l, x_l) for y_l, x_l in zip(y.levels, x.levels))
+    grad_B, grad_C = [], []
+    for l, split in enumerate(tree.split_sizes):
+        parent = np.repeat(np.arange(len(split)), split)
+        grad_B.append(outer(y.levels[l], x.levels[l + 1][:, :, parent]))
+        grad_C.append(outer(y.levels[l + 1][:, :, parent], x.levels[l]))
+    return y, (grad_A, tuple(grad_B), tuple(grad_C))
+
+
+class TestChildGroupPath:
+    """The sweeps on a tree's cached child groups equal a level loop on raw size lists."""
+
+    TREES = {
+        "chain": (lambda: build_chain(6), 2),
+        "one-child-and-branching": (
+            lambda: TreeTopology((6, 3, 3, 2, 2, 1), ((2, 1, 3), (1, 1, 1), (2, 1), (1, 1), (2,))),
+            2),
+        "childless": (lambda: TreeTopology((5, 3, 3, 1), ((2, 0, 3), (1, 1, 1), (3,))), 2),
+        "block-sizes-per-level": (
+            lambda: TreeTopology((4, 4, 2, 2, 1), ((1, 1, 1, 1), (2, 2), (1, 1), (2,))),
+            [2, 1, 3, 2, 4]),
+    }
+
+    @pytest.mark.parametrize("name", TREES)
+    def test_equals_the_level_loop_on_cache_miss_and_hit(self, name):
+        make, d = self.TREES[name]
+        tree = make()
+        rng = np.random.default_rng(50)
+        params = random_params(tree, d, heads=2, rng=rng)
+        for call in ("miss", "hit"):
+            u, g = (random_rhs(tree, d, heads=2, batch=3, right_parts=2, rng=rng)
+                    for _ in range(2))
+            x = solve(params, tree, u)
+            _assert_identical(x, _level_loop(params, tree, u))
+            _assert_identical(solve_transpose(params, tree, g),
+                              _level_loop(transpose_params(params), tree, g))
+            _assert_identical(vjp(params, tree, u, x, g), _level_loop_vjp(params, tree, x, g))
+
+    def test_one_child_steps_equal_the_general_ones(self):
+        rng = np.random.default_rng(51)
+        values = rng.standard_normal((2, 3, 4, 2, 1))
+        assert np.array_equal(segment_sum(values, [1, 1, 1, 1], axis=2),
+                              np.add.reduceat(values, np.arange(4), axis=2))
+        u_hat, b_hat = rng.standard_normal((2, 3, 4, 2, 1)), rng.standard_normal((3, 4, 2, 2))
+        assert np.array_equal(downward_step(u_hat, b_hat, values, [1, 1, 1, 1]),
+                              u_hat + b_hat @ np.repeat(values, 1, axis=2))
+
+    def test_a_factor_cached_on_one_tree_serves_an_equal_tree(self, monkeypatch):
+        import treesolve.solver as solver_module
+        tree = self.TREES["childless"][0]()
+        twin = TreeTopology(tree.level_sizes, tree.split_sizes)
+        rng = np.random.default_rng(52)
+        params = random_params(tree, 2, rng=rng)
+        u = random_rhs(tree, 2, rng=rng)
+        want = solve(params, tree, u)
+        calls = []
+        step = solver_module.upward_step
+        monkeypatch.setattr(solver_module, "upward_step",
+                            lambda *a, **k: calls.append(1) or step(*a, **k))
+        _assert_identical(solve(params, twin, u), want)
+        assert calls == [] and len(params._factors) == 1

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from treesolve import (GridShape, TreeTopology, build_chain, build_perfect_tree,
                        build_quadtree, flatten_image, order_indices)
-from treesolve.topology import dfs_postorder_perm, morton_index, snake_index
+from treesolve.topology import (ONE_CHILD, ChildGroups, dfs_postorder_perm, morton_index,
+                                snake_index)
 
 GRID4 = GridShape(4, 4)
 
@@ -264,6 +265,56 @@ def test_splits_accessors():
     np.testing.assert_array_equal(tree.splits(0), [3, 3, 3])
     np.testing.assert_array_equal(tree.parent_indices(0), [0, 0, 0, 1, 1, 1, 2, 2, 2])
     np.testing.assert_array_equal(tree.level_offsets(), [0, 9, 12, 13])
+
+
+# levels: branching with a childless parent, one child each, branching without empty groups
+_MIXED = TreeTopology((5, 3, 3, 1), ((2, 0, 3), (1, 1, 1), (3,)))
+
+
+def test_child_groups_of_each_level():
+    assert [_MIXED.child_groups(l) is ONE_CHILD for l in range(3)] == [False, True, False]
+    g = _MIXED.child_groups(0)
+    np.testing.assert_array_equal(g.sizes, [2, 0, 3])
+    np.testing.assert_array_equal(g.starts, [0, 2])
+    np.testing.assert_array_equal(g.full, [True, False, True])
+    np.testing.assert_array_equal(g.parents, [0, 0, 2, 2, 2])
+    top = _MIXED.child_groups(2)
+    assert top.full is None
+    np.testing.assert_array_equal(top.starts, [0])
+    # a one-child level stores nothing, but its accessors still give the arrays
+    np.testing.assert_array_equal(_MIXED.splits(1), [1, 1, 1])
+    np.testing.assert_array_equal(_MIXED.parent_indices(1), [0, 1, 2])
+    assert all(build_chain(5).child_groups(l) is ONE_CHILD for l in range(4))
+
+
+def test_child_groups_of_size_lists():
+    assert ChildGroups.of([1, 1, 1]) is ONE_CHILD and ChildGroups.of(np.ones(4, int)) is ONE_CHILD
+    g = ChildGroups.of([2, 0, 3])
+    assert ChildGroups.of(g) is g
+    for got, want in zip(g, _MIXED.child_groups(0)):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_child_groups_are_computed_once_and_read_only():
+    tree = TreeTopology(_MIXED.level_sizes, _MIXED.split_sizes)
+    assert tree.child_groups(0) is tree.child_groups(0)
+    for l in range(tree.depth - 1):
+        arrays = [a for a in tree.child_groups(l) if a is not None]
+        arrays += [tree.splits(l), tree.parent_indices(l)]
+        for a in arrays:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 7
+
+
+def test_cached_groups_leave_equality_hash_and_repr_alone():
+    used, fresh = (TreeTopology(_MIXED.level_sizes, _MIXED.split_sizes) for _ in range(2))
+    before = repr(used)
+    used.child_groups(0)
+    used.parent_indices(1)
+    assert used == fresh and hash(used) == hash(fresh)
+    assert repr(used) == repr(fresh) == before
+    assert [f.name for f in dataclasses.fields(used)] == ["level_sizes", "split_sizes"]
 
 
 @pytest.mark.parametrize("call, fragment", [
