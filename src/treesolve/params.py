@@ -190,16 +190,8 @@ class TreeVector:
     def max_abs(self) -> float:
         return max(float(np.max(np.abs(v))) if v.size else 0.0 for v in self.levels)
 
-    def __add__(self, other: "TreeVector") -> "TreeVector":
-        return TreeVector(tuple(a + b for a, b in zip(self.levels, other.levels)))
-
     def __sub__(self, other: "TreeVector") -> "TreeVector":
         return TreeVector(tuple(a - b for a, b in zip(self.levels, other.levels)))
-
-    def __mul__(self, scalar: float) -> "TreeVector":
-        return TreeVector(tuple(v * scalar for v in self.levels))
-
-    __rmul__ = __mul__
 
 
 class BlockGrads(NamedTuple):

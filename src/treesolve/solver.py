@@ -18,19 +18,21 @@ instrumentation: :func:`solve_with_stats` reads its operation counters off
 the elimination state the upward pass retains.
 
 Factor once, apply many.  The inverses, the b_hat blocks and the root's
-carry diagonal depend only on the parameters and the tree, so the first
-solve of a :class:`LevelParams` instance on a tree caches them on the
-instance, keyed by the tree.  Later solves replay only the right part
-(u_hat, the u_p message, the root solve and the downward pass) with the
-same expressions, so their results are bit-identical to a first call's.
-:func:`solve_transpose` and :func:`vjp` cache the transposed parameters on
-the instance too, so they reuse one transposed factor.  The cache holds,
-per tree and direction, one inverse and one b_hat block per non-root node
-(22 MB per direction on a 16384-leaf quadtree with 4 heads and d = 4), plus
-one transposed copy of the parameters (34 MB there); it lives as long as
-the instance.  Concurrent first calls may each build a factor; they store
-equal ones.  A singular block below the root caches nothing; a singular
-root is met by the downward pass, so every call raises it again.
+inverse depend only on the parameters and the tree, so the first solve of a
+:class:`LevelParams` instance on a tree caches them on the instance as one
+read-only factor, keyed by the tree and the direction: one for the system
+and one for its transpose.  A factor also keeps its system's couplings C,
+so a later solve reads nothing but the factor and replays only the right
+part (u_hat, the u_p message, the root product and the downward pass) with
+the same expressions; its results are bit-identical to a first call's.  A
+transpose factor is eliminated from a temporary transposed copy of the
+parameters, of which it keeps only the couplings.  The cache holds, per tree
+and direction, one inverse and one b_hat block per non-root node (22 MB per
+direction on a 16384-leaf quadtree with 4 heads and d = 4), plus the
+transposed couplings (11 MB there); it lives as long as the instance.
+Concurrent first calls may each build a factor; they store equal ones.  A
+singular block anywhere, the root included, raises before anything is
+cached, so every call raises it again.
 
 Index data once per tree.  Each :class:`TreeTopology` instance computes its
 levels' child groups (sizes, ``reduceat`` starts, non-empty mask and parent
@@ -65,36 +67,34 @@ class LevelData(NamedTuple):
     u: np.ndarray
 
 
-class SolveState(NamedTuple):
-    """Everything the upward pass retains for back-substitution.
-
-    ``u_hat[l]`` and ``b_hat[l]`` hold, for each non-root level l, the
-    modified right parts A_c^{-1} u_c and couplings -A_c^{-1} B_c, where A_c
-    is the level's carry diagonal (already Schur-updated by the levels
-    below).  ``root_matrix``/``root_rhs`` are the final carry: the root
-    system left after every other level has been eliminated.
-    """
-
-    u_hat: tuple
-    b_hat: tuple
-    root_matrix: np.ndarray
-    root_rhs: np.ndarray
-
-
 class _Factor(NamedTuple):
-    """The parameter half of one elimination, cached per instance and tree.
+    """The parameter half of one elimination, cached per instance, tree and direction.
 
     ``inv[l]`` and ``b_hat[l]`` are non-root level l's carry inverse and
-    -inv B; ``root_matrix`` is the root's carry diagonal.
+    -inv B, ``C[l]`` the system's coupling of level l into its parent, and
+    ``root_inv`` the inverse of the root's carry diagonal.  A right part is
+    eliminated with these alone.
     """
 
     inv: tuple
     b_hat: tuple
-    root_matrix: np.ndarray
+    C: tuple
+    root_inv: np.ndarray
 
 
-# the key of the transposed parameters in a LevelParams instance's cache
-_TRANSPOSE = "transpose"
+class SolveState(NamedTuple):
+    """Everything the upward pass retains for back-substitution.
+
+    ``u_hat[l]`` holds, for each non-root level l, the modified right part
+    A_c^{-1} u_c, where A_c is the level's carry diagonal (already
+    Schur-updated by the levels below); ``factor`` holds the matching
+    b_hat blocks and root inverse.  ``root_rhs`` is the root's carry right
+    part, left after every other level has been eliminated.
+    """
+
+    factor: _Factor
+    u_hat: tuple
+    root_rhs: np.ndarray
 
 
 class SolveStats(NamedTuple):
@@ -169,28 +169,32 @@ def downward_step(u_hat: np.ndarray, b_hat: np.ndarray, x_parent: np.ndarray,
     return u_hat + b_hat @ x_up
 
 
-def upward_sweep(params: LevelParams, tree: TreeTopology, u: TreeVector) -> SolveState:
+def upward_sweep(params: LevelParams, tree: TreeTopology, u: TreeVector, *,
+                 transposed: bool = False) -> SolveState:
     """Eliminate every level into its parent, leaf to root.
 
-    The first call for ``params`` on ``tree`` runs :func:`upward_step` on
-    every level and caches the parameter half on ``params``; later calls
+    ``transposed`` selects the transposed system.  The first call for
+    ``params``, ``tree`` and direction runs :func:`upward_step` on every
+    level, inverts the root and caches the factor on ``params``; later calls
     eliminate only the right part against it.
     """
     params.check_vector(tree, u)
     depth = tree.depth
-    factor = params._factors.get(tree)
+    factor = params._factors.get((tree, transposed))
     if factor is not None:
         carry_u, u_hats = u.levels[0], []
         for l in range(1, depth):
-            u_hat, carry_u = _right_part_step(factor.inv[l - 1], params.C[l - 1], carry_u,
+            u_hat, carry_u = _right_part_step(factor.inv[l - 1], factor.C[l - 1], carry_u,
                                               u.levels[l], tree.child_groups(l - 1))
             u_hats.append(u_hat)
-        return SolveState(tuple(u_hats), factor.b_hat, factor.root_matrix, carry_u)
+        return SolveState(factor, tuple(u_hats), carry_u)
+
+    system = transpose_params(params) if transposed else params
 
     def level_data(l):
         has_up = l < depth - 1
-        return LevelData(params.A[l], params.B[l] if has_up else None,
-                         params.C[l] if has_up else None, u.levels[l])
+        return LevelData(system.A[l], system.B[l] if has_up else None,
+                         system.C[l] if has_up else None, u.levels[l])
 
     carry = level_data(0)
     u_hats, b_hats, invs = [], [], []
@@ -200,17 +204,19 @@ def upward_sweep(params: LevelParams, tree: TreeTopology, u: TreeVector) -> Solv
         u_hats.append(u_hat)
         b_hats.append(b_hat)
         invs.append(inv)
-    for a in (*invs, *b_hats, carry.A):
+    factor = _Factor(tuple(invs), tuple(b_hats), system.C, invert_level(carry.A, depth))
+    for a in (*invs, *b_hats, factor.root_inv):
         a.setflags(write=False)  # every later solve shares them
-    params._factors[tree] = _Factor(tuple(invs), tuple(b_hats), carry.A)
-    return SolveState(tuple(u_hats), tuple(b_hats), carry.A, carry.u)
+    params._factors[(tree, transposed)] = factor
+    return SolveState(factor, tuple(u_hats), carry.u)
 
 
 def downward_sweep(state: SolveState, tree: TreeTopology) -> TreeVector:
     """Solve the root system and back-substitute down to the leaves."""
-    xs = [invert_level(state.root_matrix, tree.depth) @ state.root_rhs]
+    b_hat = state.factor.b_hat
+    xs = [state.factor.root_inv @ state.root_rhs]
     for l in range(tree.depth - 2, -1, -1):
-        xs.append(downward_step(state.u_hat[l], state.b_hat[l], xs[-1], tree.child_groups(l)))
+        xs.append(downward_step(state.u_hat[l], b_hat[l], xs[-1], tree.child_groups(l)))
     return TreeVector(tuple(reversed(xs)))
 
 
@@ -233,15 +239,16 @@ def solve_with_stats(params: LevelParams, tree: TreeTopology, u: TreeVector):
     """
     state = upward_sweep(params, tree, u)
     x = downward_sweep(state, tree)
+    b_hat = state.factor.b_hat
 
     def lead(a):
         return int(np.prod(a.shape[:-2], dtype=np.int64))
 
     return x, SolveStats(
-        level_steps=2 * len(state.b_hat) + 1,
-        block_ops=sum(3 * (lead(b) + lead(v)) for b, v in zip(state.b_hat, state.u_hat))
-        + lead(state.root_matrix) + lead(state.root_rhs),
-        aux_floats=sum(b.size + v.size for b, v in zip(state.b_hat, state.u_hat)),
+        level_steps=2 * len(b_hat) + 1,
+        block_ops=sum(3 * (lead(b) + lead(v)) for b, v in zip(b_hat, state.u_hat))
+        + lead(state.factor.root_inv) + lead(state.root_rhs),
+        aux_floats=sum(b.size + v.size for b, v in zip(b_hat, state.u_hat)),
     )
 
 
@@ -257,13 +264,9 @@ def transpose_params(params: LevelParams) -> LevelParams:
 def solve_transpose(params: LevelParams, tree: TreeTopology, g: TreeVector) -> TreeVector:
     """Solve the transposed system for a cotangent-shaped right part g.
 
-    The transposed parameters are built once and cached on ``params``, and
-    their own cache keeps the transposed factor.
+    Its factor is cached on ``params`` beside the system's own.
     """
-    transposed = params._factors.get(_TRANSPOSE)
-    if transposed is None:
-        transposed = params._factors[_TRANSPOSE] = transpose_params(params)
-    return solve(transposed, tree, g)
+    return downward_sweep(upward_sweep(params, tree, g, transposed=True), tree)
 
 
 def vjp(params: LevelParams, tree: TreeTopology, u: TreeVector, x: TreeVector,

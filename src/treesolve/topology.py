@@ -20,8 +20,6 @@ __all__ = [
     "build_perfect_tree",
     "build_quadtree",
     "build_chain",
-    "morton_index",
-    "snake_index",
     "order_indices",
     "flatten_image",
     "dfs_postorder_perm",
@@ -230,46 +228,28 @@ def build_chain(length: int) -> TreeTopology:
     return TreeTopology((1,) * length, ((1,),) * (length - 1))
 
 
-def _pixel(x, y, grid: GridShape) -> tuple[int, int]:
-    """Integer coordinates (x, y) of a pixel inside ``grid``."""
-    x, y = _integer(x, "pixel column"), _integer(y, "pixel row")
-    if not (0 <= x < grid.width and 0 <= y < grid.height):
-        raise ValueError(f"pixel ({x}, {y}) outside {grid.height}x{grid.width} grid")
-    return x, y
-
-
 def _morton(x, y, grid: GridShape):
-    """1-based Z-order position for integer scalars or arrays of columns x and rows y."""
+    """1-based Z-order position for integer arrays of columns x and rows y.
+
+    Bits of x and y are interleaved with x contributing the lower bit of each
+    pair; on a 4x4 grid this is (x mod 2) + 2(y mod 2) + 4(x//2) + 8(y//2) + 1.
+    """
     if not grid.is_pow2_square():
         raise ValueError(
             f"Morton order requires a square power-of-two grid, got {grid.height}x{grid.width}"
         )
-    code = x & 0  # stays an array for array input on a 1x1 grid, which has no bits
+    code = x & 0  # zeros shaped like x, also on a 1x1 grid, which has no bits
     for bit in range(grid.width.bit_length() - 1):
         code |= ((x >> bit) & 1) << (2 * bit) | ((y >> bit) & 1) << (2 * bit + 1)
     return code + 1
 
 
 def _snake(x, y, grid: GridShape):
-    """1-based boustrophedon position for integer scalars or arrays."""
+    """1-based boustrophedon position: even rows run left to right, odd rows reversed."""
     return y * grid.width + 1 + x + (y % 2) * (grid.width - 1 - 2 * x)
 
 
 _ORDERS = {"morton": _morton, "snake": _snake}
-
-
-def morton_index(x: int, y: int, grid: GridShape) -> int:
-    """1-based Z-order position of pixel (column x, row y).
-
-    Bits of x and y are interleaved with x contributing the lower bit of each
-    pair; on a 4x4 grid this is (x mod 2) + 2(y mod 2) + 4(x//2) + 8(y//2) + 1.
-    """
-    return _morton(*_pixel(x, y, grid), grid)
-
-
-def snake_index(x: int, y: int, grid: GridShape) -> int:
-    """1-based boustrophedon position: even rows run left to right, odd rows reversed."""
-    return _snake(*_pixel(x, y, grid), grid)
 
 
 def order_indices(grid: GridShape, order: str) -> np.ndarray:

@@ -10,7 +10,6 @@ from treesolve import (DenseSystem, GridShape, LayerConfig, LevelParams,
                        ssm_reference, tridiag_bidiagonal_factor)
 from treesolve.layer import bidirectional_chain_forward, build_input
 from treesolve.oracle import chain_tridiagonal_blocks
-from treesolve.topology import morton_index
 from helpers import random_params, rel_err
 
 
@@ -67,7 +66,8 @@ class TestForward:
         f = rng.standard_normal((1, 8, 1))
         g = rng.standard_normal((1, 8, 1))
         lhs = forward(cfg, params, 2.0 * f - 3.0 * g)
-        rhs = 2.0 * forward(cfg, params, f) - 3.0 * forward(cfg, params, g)
+        rhs = TreeVector(tuple(2.0 * a - 3.0 * b for a, b in zip(
+            forward(cfg, params, f).levels, forward(cfg, params, g).levels)))
         assert rel_err(lhs, rhs) < 1e-12
 
     def test_wrong_length_rejected(self):
@@ -115,7 +115,8 @@ class TestAggregate:
         y = TreeVector(tuple(rng.standard_normal((1, 1, n, 1, 1))
                              for n in tree.level_sizes))
         np.testing.assert_allclose(
-            aggregate_topk(3.0 * x - 1.0 * y, cfg),
+            aggregate_topk(TreeVector(tuple(3.0 * a - 1.0 * b
+                                            for a, b in zip(x.levels, y.levels))), cfg),
             3.0 * aggregate_topk(x, cfg) - aggregate_topk(y, cfg), atol=1e-14)
 
     def test_k_top_bounds_checked(self):
@@ -202,12 +203,13 @@ class TestPermutationConsistency:
         # route 1: library flattening
         seq = flatten_image(img, "morton")[None]
         x1 = forward(cfg, params, seq)
-        # route 2: raster order plus an explicit gather through morton_index
+        # route 2: raster order plus an explicit gather through the 4x4 Z-order,
+        # (x mod 2) + 2(y mod 2) + 4(x//2) + 8(y//2)
         raster = img.reshape(16, 2)
         gathered = np.empty_like(raster)
         for y in range(4):
             for x in range(4):
-                gathered[morton_index(x, y, grid) - 1] = raster[y * 4 + x]
+                gathered[x % 2 + 2 * (y % 2) + 4 * (x // 2) + 8 * (y // 2)] = raster[y * 4 + x]
         x2 = forward(cfg, params, gathered[None])
         assert rel_err(x1, x2) == 0.0
 

@@ -34,7 +34,7 @@ class TestContainers:
 
     def test_tree_vector_arithmetic(self):
         u = TreeVector((np.ones((1, 1, 2, 1, 1)),))
-        v = 2.0 * u - u
+        v = TreeVector((2.0 * u.levels[0],)) - u
         np.testing.assert_allclose(v.levels[0], u.levels[0])
 
 

@@ -146,8 +146,11 @@ class TestSolve:
         params = random_params(tree, 2, rng=rng)
         u = random_rhs(tree, 2, rng=rng)
         v = random_rhs(tree, 2, rng=rng)
-        lhs = solve(params, tree, 2.5 * u + (-1.25) * v)
-        rhs = 2.5 * solve(params, tree, u) + (-1.25) * solve(params, tree, v)
+        def combine(a, b):
+            return TreeVector(tuple(2.5 * p + (-1.25) * q for p, q in zip(a.levels, b.levels)))
+
+        lhs = solve(params, tree, combine(u, v))
+        rhs = combine(solve(params, tree, u), solve(params, tree, v))
         assert rel_err(lhs, rhs) < 1e-12
 
     def test_shape_mismatch_rejected_before_compute(self):
@@ -268,7 +271,7 @@ class TestTransposeAndVjp:
         params = init_random_stable(tree, 1, seed=1, coupling_scale=0.5)
         u = random_rhs(tree, 1, rng=np.random.default_rng(3))
         x = solve(params, tree, u)
-        g = 0.0 * u
+        g = TreeVector(tuple(0.0 * v for v in u.levels))
         grad_u, grads = vjp(params, tree, u, x, g)
         assert grad_u.max_abs() == 0.0
         assert all(np.max(np.abs(a)) == 0 for a in grads.A + grads.B + grads.C)
@@ -327,15 +330,15 @@ class TestSolveState:
         carry_A, carry_u = params.A[0], u.levels[0]
         for l in range(tree.depth - 1):
             np.testing.assert_allclose(
-                state.b_hat[l], -np.linalg.solve(carry_A, params.B[l]), atol=1e-12)
+                state.factor.b_hat[l], -np.linalg.solve(carry_A, params.B[l]), atol=1e-12)
             np.testing.assert_allclose(
                 state.u_hat[l], np.linalg.solve(carry_A, carry_u), atol=1e-12)
             split = tree.splits(l)
             carry_A = params.A[l + 1] + segment_sum(
-                params.C[l] @ state.b_hat[l], split, axis=1)
+                params.C[l] @ state.factor.b_hat[l], split, axis=1)
             carry_u = u.levels[l + 1] - segment_sum(
                 params.C[l] @ state.u_hat[l], split, axis=2)
-        np.testing.assert_allclose(state.root_matrix, carry_A, atol=1e-12)
+        np.testing.assert_allclose(np.linalg.inv(state.factor.root_inv), carry_A, atol=1e-12)
         np.testing.assert_allclose(state.root_rhs, carry_u, atol=1e-12)
 
     def test_root_carry_solves_to_dense_root(self):
@@ -344,7 +347,7 @@ class TestSolveState:
         params = random_params(tree, 1, rng=rng)
         u = random_rhs(tree, 1, rng=rng)
         state = upward_sweep(params, tree, u)
-        x_root = np.linalg.solve(state.root_matrix, state.root_rhs)
+        x_root = state.factor.root_inv @ state.root_rhs
         want = DenseSystem(params, tree).solve(u).levels[-1]
         np.testing.assert_allclose(x_root, want, atol=1e-12)
 
@@ -522,6 +525,9 @@ class TestFactorCache:
             call(params, tree, u)
             counts.append(len(calls))
         assert counts == [tree.depth - 1, 0, tree.depth - 1, 0, 0]
+        # one self-sufficient factor per direction, and no transposed parameters
+        assert set(params._factors) == {(tree, False), (tree, True)}
+        assert all(type(f) is solver_module._Factor for f in params._factors.values())
 
     def test_one_instance_on_two_trees_with_equal_level_sizes(self):
         trees = [TreeTopology((4, 2, 1), ((2, 2), (2,))), TreeTopology((4, 2, 1), ((3, 1), (2,)))]
@@ -551,6 +557,7 @@ class TestFactorCache:
                     call(params, tree, u)
                 e = info.value
                 found.append((e.level, e.node, e.head, e.block_index, e.pivot_step, str(e)))
+                assert params._factors == {}  # a failed elimination caches nothing
             assert found[0] == found[1]
             assert where in found[0][-1]
 

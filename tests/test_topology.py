@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from treesolve import (GridShape, TreeTopology, build_chain, build_perfect_tree,
                        build_quadtree, flatten_image, order_indices)
-from treesolve.topology import (ONE_CHILD, ChildGroups, dfs_postorder_perm, morton_index,
-                                snake_index)
+from treesolve.topology import ONE_CHILD, ChildGroups, dfs_postorder_perm
 
 GRID4 = GridShape(4, 4)
 
@@ -102,32 +101,19 @@ class TestBuilders:
 
 class TestOrders:
     def test_morton_reference_table(self):
-        for y in range(4):
-            for x in range(4):
-                assert morton_index(x, y, GRID4) == MORTON_4x4[y][x]
+        assert order_indices(GRID4, "morton").tolist() == MORTON_4x4
 
     def test_snake_reference_table(self):
-        for y in range(4):
-            for x in range(4):
-                assert snake_index(x, y, GRID4) == SNAKE_4x4[y][x]
+        assert order_indices(GRID4, "snake").tolist() == SNAKE_4x4
 
     def test_corner_cases(self):
-        assert morton_index(0, 0, GRID4) == 1
-        assert morton_index(1, 1, GRID4) == 4
-        assert morton_index(3, 3, GRID4) == 16
-        assert snake_index(0, 0, GRID4) == 1
-        assert snake_index(3, 1, GRID4) == 5
-        assert snake_index(0, 3, GRID4) == 16
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            morton_index(4, 0, GRID4)
-        with pytest.raises(ValueError):
-            snake_index(0, -1, GRID4)
+        morton, snake = order_indices(GRID4, "morton"), order_indices(GRID4, "snake")
+        assert morton[0, 0] == 1 and morton[1, 1] == 4 and morton[3, 3] == 16
+        assert snake[0, 0] == 1 and snake[1, 3] == 5 and snake[3, 0] == 16
 
     def test_morton_needs_pow2_square(self):
         with pytest.raises(ValueError):
-            morton_index(0, 0, GridShape(4, 8))
+            order_indices(GridShape(4, 8), "morton")
 
     @pytest.mark.parametrize("side", [1, 2, 4, 8, 16])
     def test_morton_bijection(self, side):
@@ -171,13 +157,19 @@ class TestOrders:
 
     @pytest.mark.parametrize("order,h,w", [("morton", 8, 8), ("snake", 8, 8), ("snake", 3, 5)])
     def test_scalar_index_matches_array(self, order, h, w):
-        grid = GridShape(h, w)
-        scalar = {"morton": morton_index, "snake": snake_index}[order]
-        idx = order_indices(grid, order)
+        # each pixel's position worked out on its own: Morton interleaves the
+        # binary digits of y and x (x the lower of each pair), snake reverses odd rows
+        def scalar(x, y):
+            if order == "snake":
+                return y * w + (x if y % 2 == 0 else w - 1 - x) + 1
+            bits = w.bit_length() - 1
+            xs, ys = format(x, f"0{bits}b"), format(y, f"0{bits}b")
+            return int("".join(b + a for a, b in zip(xs, ys)), 2) + 1
+
+        idx = order_indices(GridShape(h, w), order)
         for y in range(h):
             for x in range(w):
-                got = scalar(x, y, grid)
-                assert type(got) is int and got == idx[y, x]
+                assert idx[y, x] == scalar(x, y)
 
     def test_flatten_image_matches_indices(self):
         rng = np.random.default_rng(0)
@@ -325,10 +317,8 @@ def test_cached_groups_leave_equality_hash_and_repr_alone():
     (lambda: build_perfect_tree(2.0, 4), "arity must be an integer, got 2.0"),
     (lambda: build_perfect_tree(2, 4.0), "leaf count must be an integer, got 4.0"),
     (lambda: build_chain(3.7), "chain length must be an integer, got 3.7"),
-    (lambda: morton_index(1.5, 0, GRID4), "pixel column must be an integer, got 1.5"),
-    (lambda: snake_index(0, 1.5, GRID4), "pixel row must be an integer, got 1.5"),
 ], ids=["level-size", "split-size", "grid-height", "grid-width", "arity", "leaf-count",
-        "chain-length", "morton-column", "snake-row"])
+        "chain-length"])
 def test_sizes_must_be_integers(call, fragment):
     with pytest.raises(ValueError, match=re.escape(fragment)):
         call()
@@ -354,4 +344,4 @@ def test_numpy_integer_sizes_accepted():
     assert build_chain(n(3)) == build_chain(3)
     grid = GridShape(n(4), np.int32(4))
     assert grid == GRID4 and build_quadtree(grid) == build_quadtree(GRID4)
-    assert morton_index(n(1), n(1), grid) == 4 and snake_index(n(3), np.int32(1), grid) == 5
+    assert order_indices(grid, "morton")[1, 1] == 4 and order_indices(grid, "snake")[1, 3] == 5
