@@ -56,8 +56,8 @@ def lu_factor(a: np.ndarray):
 
     Returns ``(lu, perm)`` where ``lu`` packs the unit-lower and upper factors
     and ``perm[..., i]`` is the original row that ended up at position ``i``.
-    Raises :class:`SingularBlockError` on the first block whose pivot falls
-    below ``PIVOT_RTOL`` times the block's max absolute entry.
+    Raises :class:`SingularBlockError` on the first block whose pivot is not
+    above ``PIVOT_RTOL`` times the block's max absolute entry (so also on NaN).
     """
     lu = np.array(a, dtype=np.float64)
     _check_square_stack(lu)
@@ -69,7 +69,7 @@ def lu_factor(a: np.ndarray):
     for k in range(d):
         col = np.abs(lu[:, k:, k])
         rel = np.argmax(col, axis=-1)  # the first of equal maxima
-        bad = col[n, rel] <= PIVOT_RTOL * scale
+        bad = ~(col[n, rel] > PIVOT_RTOL * scale)  # a NaN pivot or scale is bad too
         if bad.any():
             index = np.unravel_index(np.argmax(bad), lead)
             raise SingularBlockError(tuple(int(i) for i in index), k)

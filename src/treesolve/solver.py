@@ -17,17 +17,17 @@ are shared immutably, so concurrent solves are safe.  The sweeps carry no
 instrumentation: :func:`solve_with_stats` reads its operation counters off
 the elimination state the upward pass retains.
 
-Factor once, apply many.  The inverses, the b_hat blocks and the root's
-inverse depend only on the parameters and the tree, so the first solve of a
-:class:`LevelParams` instance on a tree caches them on the instance as one
-read-only factor, keyed by the tree and the direction: one for the system
-and one for its transpose.  A factor also keeps its system's couplings C,
-so a later solve reads nothing but the factor and replays only the right
-part (u_hat, the u_p message, the root product and the downward pass) with
-the same expressions; its results are bit-identical to a first call's.  A
-transpose factor is eliminated from a temporary transposed copy of the
-parameters, of which it keeps only the couplings.  The cache holds, per tree
-and direction, one inverse and one b_hat block per non-root node (22 MB per
+Factor, then apply.  The inverses, the b_hat blocks and the root's inverse
+depend only on the parameters and the tree, so :func:`_factor` builds them
+once, on the first solve of a :class:`LevelParams` instance on a tree, with
+:func:`upward_step` on every level, and caches them on the instance as one
+read-only factor, keyed by the tree and the direction.  A factor also keeps
+its system's couplings C, so :func:`upward_sweep`'s one right-part loop
+(u_hat and the u_p message) reads nothing else: it is the same loop on a
+first call and on every later one, with bit-identical results.  A transpose
+factor is eliminated from a temporary transposed copy of the parameters, of
+which it keeps only the couplings.  The cache holds, per tree and
+direction, one inverse and one b_hat block per non-root node (22 MB per
 direction on a 16384-leaf quadtree with 4 heads and d = 4), plus the
 transposed couplings (11 MB there); it lives as long as the instance.
 Concurrent first calls may each build a factor; they store equal ones.  A
@@ -59,12 +59,11 @@ __all__ = ["LevelData", "SolveStats", "solve", "solve_with_stats", "solve_transp
 
 
 class LevelData(NamedTuple):
-    """Working data of one level during the sweeps; B/C are None at the root."""
+    """One level's parameter blocks during elimination; B/C are None at the root."""
 
     A: np.ndarray
     B: Optional[np.ndarray]
     C: Optional[np.ndarray]
-    u: np.ndarray
 
 
 class _Factor(NamedTuple):
@@ -132,15 +131,14 @@ def segment_sum(values: np.ndarray, sizes, axis: int) -> np.ndarray:
     return out
 
 
-def upward_step(carry: LevelData, parent: LevelData, split, *, child_level: int = 0):
-    """Eliminate one child level into its parent level.
+def upward_step(carry: LevelData, parent: LevelData, split, *, child_level: int):
+    """Eliminate one child level's parameter blocks into its parent level.
 
     ``carry`` holds the child level (diagonal already Schur-updated by
     previous steps), ``parent`` the untouched parent level, ``split`` the
-    child groups, as for :func:`segment_sum`.  Returns the new parent-level
-    carry (A_hat, B_p, C_p, u_hat) plus the retained (u_hat_c, b_hat_c,
-    inv_c): the downward pass needs the first two, and a later solve reuses
-    the last two.
+    child groups, as for :func:`segment_sum`, and ``child_level`` the
+    child level's 0-based index, for naming a singular block.  Returns the
+    new parent-level carry (A_hat, B_p, C_p) plus the child's (b_hat_c, inv_c).
     """
     if carry.B is None or carry.C is None:
         raise ValueError("upward_step needs a child level with parent couplings")
@@ -148,14 +146,7 @@ def upward_step(carry: LevelData, parent: LevelData, split, *, child_level: int 
     inv = invert_level(carry.A, child_level + 1)
     b_hat = -(inv @ carry.B)
     a_new = parent.A + segment_sum(carry.C @ b_hat, split, axis=1)
-    u_hat, u_new = _right_part_step(inv, carry.C, carry.u, parent.u, split)
-    return LevelData(a_new, parent.B, parent.C, u_new), (u_hat, b_hat, inv)
-
-
-def _right_part_step(inv, C, u, parent_u, split):
-    """The right-part half of :func:`upward_step`: u_hat_c and the parent's new u."""
-    u_hat = inv @ u
-    return u_hat, parent_u - segment_sum(C @ u_hat, split, axis=2)
+    return LevelData(a_new, parent.B, parent.C), (b_hat, inv)
 
 
 def downward_step(u_hat: np.ndarray, b_hat: np.ndarray, x_parent: np.ndarray,
@@ -169,46 +160,48 @@ def downward_step(u_hat: np.ndarray, b_hat: np.ndarray, x_parent: np.ndarray,
     return u_hat + b_hat @ x_up
 
 
-def upward_sweep(params: LevelParams, tree: TreeTopology, u: TreeVector, *,
-                 transposed: bool = False) -> SolveState:
-    """Eliminate every level into its parent, leaf to root.
-
-    ``transposed`` selects the transposed system.  The first call for
-    ``params``, ``tree`` and direction runs :func:`upward_step` on every
-    level, inverts the root and caches the factor on ``params``; later calls
-    eliminate only the right part against it.
-    """
-    params.check_vector(tree, u)
-    depth = tree.depth
+def _factor(params: LevelParams, tree: TreeTopology, transposed: bool) -> _Factor:
+    """The factor of ``params`` on ``tree`` in one direction; the first call builds it."""
     factor = params._factors.get((tree, transposed))
     if factor is not None:
-        carry_u, u_hats = u.levels[0], []
-        for l in range(1, depth):
-            u_hat, carry_u = _right_part_step(factor.inv[l - 1], factor.C[l - 1], carry_u,
-                                              u.levels[l], tree.child_groups(l - 1))
-            u_hats.append(u_hat)
-        return SolveState(factor, tuple(u_hats), carry_u)
-
+        return factor
     system = transpose_params(params) if transposed else params
+    depth = tree.depth
 
     def level_data(l):
         has_up = l < depth - 1
         return LevelData(system.A[l], system.B[l] if has_up else None,
-                         system.C[l] if has_up else None, u.levels[l])
+                         system.C[l] if has_up else None)
 
-    carry = level_data(0)
-    u_hats, b_hats, invs = [], [], []
+    carry, b_hats, invs = level_data(0), [], []
     for l in range(1, depth):
-        carry, (u_hat, b_hat, inv) = upward_step(carry, level_data(l),
-                                                 tree.child_groups(l - 1), child_level=l - 1)
-        u_hats.append(u_hat)
+        carry, (b_hat, inv) = upward_step(carry, level_data(l), tree.child_groups(l - 1),
+                                          child_level=l - 1)
         b_hats.append(b_hat)
         invs.append(inv)
     factor = _Factor(tuple(invs), tuple(b_hats), system.C, invert_level(carry.A, depth))
     for a in (*invs, *b_hats, factor.root_inv):
         a.setflags(write=False)  # every later solve shares them
     params._factors[(tree, transposed)] = factor
-    return SolveState(factor, tuple(u_hats), carry.u)
+    return factor
+
+
+def upward_sweep(params: LevelParams, tree: TreeTopology, u: TreeVector, *,
+                 transposed: bool = False) -> SolveState:
+    """Eliminate every level's right part into its parent, leaf to root.
+
+    ``transposed`` selects the transposed system.  The parameter half comes
+    from :func:`_factor`; only the right part is eliminated here.
+    """
+    params.check_vector(tree, u)
+    factor = _factor(params, tree, transposed)
+    carry_u, u_hats = u.levels[0], []
+    for l in range(1, tree.depth):
+        u_hat = factor.inv[l - 1] @ carry_u
+        carry_u = u.levels[l] - segment_sum(factor.C[l - 1] @ u_hat, tree.child_groups(l - 1),
+                                            axis=2)
+        u_hats.append(u_hat)
+    return SolveState(factor, tuple(u_hats), carry_u)
 
 
 def downward_sweep(state: SolveState, tree: TreeTopology) -> TreeVector:

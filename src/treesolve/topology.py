@@ -31,11 +31,13 @@ def _is_power_of_two(n: int) -> bool:
 
 
 def _integer(value, what: str) -> int:
-    """``value`` as a Python int; floats, strings and other non-integers are a ValueError."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+    """``value`` as a Python int; a bool, float, string or other non-integer is a ValueError."""
+    if not isinstance(value, bool):  # numpy bools have no __index__, Python ones do
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 def _positive(value, what: str) -> int:

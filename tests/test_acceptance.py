@@ -266,14 +266,13 @@ def test_criterion_9_stable_parametrization():
         params = init_random_stable(tree, d, heads=int(rng.choice([1, 2])),
                                     seed=int(rng.integers(2 ** 31)),
                                     coupling_scale=float(rng.uniform(0, 1)))
-        u = TreeVector.zeros(tree, params.block_sizes, heads=params.heads)
         carry = LevelData(params.A[0], params.B[0] if tree.depth > 1 else None,
-                          params.C[0] if tree.depth > 1 else None, u.levels[0])
+                          params.C[0] if tree.depth > 1 else None)
         for l in range(1, tree.depth):
             has_up = l < tree.depth - 1
             parent = LevelData(params.A[l], params.B[l] if has_up else None,
-                               params.C[l] if has_up else None, u.levels[l])
-            carry, _ = upward_step(carry, parent, tree.splits(l - 1))
+                               params.C[l] if has_up else None)
+            carry, _ = upward_step(carry, parent, tree.splits(l - 1), child_level=l - 1)
             max_asym = max(max_asym, float(np.max(
                 np.abs(carry.A - carry.A.swapaxes(-1, -2)))))
             min_eig = min(min_eig, float(np.min(np.linalg.eigvalsh(carry.A))))

@@ -153,6 +153,7 @@ def _with_header(path, **changes):
     ({"heads": 0}, "heads must be positive, got 0"),
     ({"heads": 2.9}, "heads must be an integer, got 2.9"),
     ({"heads": "2"}, "heads must be an integer, got '2'"),
+    ({"heads": True}, "heads must be an integer, got True"),
     ({"batch": 1e400}, "batch must be an integer, got inf"),
     ({"right_parts": None}, "right_parts must be an integer, got None"),
     ({"block_sizes": [1.7, 1, 1]}, "block size must be an integer, got 1.7"),
@@ -163,9 +164,10 @@ def _with_header(path, **changes):
     ({"batch": 0}, "batch must be positive, got 0"),
     ({"right_parts": -1}, "right_parts must be positive, got -1"),
     ({"block_sizes": 2}, "malformed problem header: block_sizes must be a list, got 2"),
-], ids=["block-size-count", "zero-heads", "float-heads", "string-heads", "infinite-batch",
-        "null-right-parts", "float-block-size", "negative-block-size", "float-arity",
-        "float-level-size", "zero-batch", "negative-right-parts", "scalar-block-sizes"])
+], ids=["block-size-count", "zero-heads", "float-heads", "string-heads", "bool-heads",
+        "infinite-batch", "null-right-parts", "float-block-size", "negative-block-size",
+        "float-arity", "float-level-size", "zero-batch", "negative-right-parts",
+        "scalar-block-sizes"])
 def test_header_errors(tmp_path, changes, fragment):
     tree = build_perfect_tree(2, 4)
     path = tmp_path / "problem.bin"

@@ -20,44 +20,59 @@ def scalar(v):
 class TestUpwardStep:
     def test_scalar_star_example(self):
         # A1=2, B1=1, C1=1, A_root=3, u1=2, u_root=1
-        carry = LevelData(scalar(2), scalar(1), scalar(1), scalar(2)[None])
-        parent = LevelData(scalar(3), None, None, scalar(1)[None])
-        new_carry, (u_hat, b_hat, _) = upward_step(carry, parent, [1])
+        carry = LevelData(scalar(2), scalar(1), scalar(1))
+        new_carry, (b_hat, _) = upward_step(carry, LevelData(scalar(3), None, None), [1],
+                                            child_level=0)
         assert b_hat.reshape(-1)[0] == -0.5
-        assert u_hat.reshape(-1)[0] == 1.0
         assert new_carry.A.reshape(-1)[0] == 2.5
-        assert new_carry.u.reshape(-1)[0] == 0.0
+        params = LevelParams((scalar(2), scalar(3)), (scalar(1),), (scalar(1),))
+        u = TreeVector((scalar(2)[None], scalar(1)[None]))
+        state = upward_sweep(params, build_chain(2), u)
+        assert state.u_hat[0].reshape(-1)[0] == 1.0
+        assert state.root_rhs.reshape(-1)[0] == 0.0
 
     def test_zero_couplings_pass_through(self):
         rng = np.random.default_rng(0)
         a_c, a_p = rng.standard_normal((1, 3, 2, 2)) + 3 * np.eye(2), scalar(4)
         u_c, u_p = rng.standard_normal((1, 1, 3, 2, 1)), scalar(7)[None]
-        carry = LevelData(a_c, np.zeros((1, 3, 2, 1)), np.zeros((1, 3, 1, 2)), u_c)
-        new_carry, (u_hat, b_hat, _) = upward_step(carry, LevelData(a_p, None, None, u_p), [3])
+        b_c, c_c = np.zeros((1, 3, 2, 1)), np.zeros((1, 3, 1, 2))
+        new_carry, (b_hat, _) = upward_step(LevelData(a_c, b_c, c_c), LevelData(a_p, None, None),
+                                            [3], child_level=0)
         np.testing.assert_allclose(new_carry.A, a_p)
-        np.testing.assert_allclose(new_carry.u, u_p)
         np.testing.assert_array_equal(b_hat, 0)
-        np.testing.assert_allclose(u_hat, np.linalg.solve(a_c, u_c))
+        state = upward_sweep(LevelParams((a_c, a_p), (b_c,), (c_c,)),
+                             TreeTopology((3, 1), ((3,),)), TreeVector((u_c, u_p)))
+        np.testing.assert_allclose(state.root_rhs, u_p)
+        np.testing.assert_allclose(state.u_hat[0], np.linalg.solve(a_c, u_c))
 
     def test_two_identical_children_schur(self):
         # k=2 children, A=1, B=C=b: parent diagonal becomes A_p - 2 b^2
         b = 0.3
-        carry = LevelData(
-            np.ones((1, 2, 1, 1)), np.full((1, 2, 1, 1), b),
-            np.full((1, 2, 1, 1), b), np.zeros((1, 1, 2, 1, 1)),
-        )
-        parent = LevelData(scalar(5), None, None, np.zeros((1, 1, 1, 1, 1)))
-        new_carry, _ = upward_step(carry, parent, [2])
+        carry = LevelData(np.ones((1, 2, 1, 1)), np.full((1, 2, 1, 1), b),
+                          np.full((1, 2, 1, 1), b))
+        new_carry, _ = upward_step(carry, LevelData(scalar(5), None, None), [2], child_level=0)
         np.testing.assert_allclose(new_carry.A.reshape(-1)[0], 5 - 2 * b * b)
 
     def test_singular_child_named(self):
-        carry = LevelData(np.zeros((1, 2, 1, 1)), np.zeros((1, 2, 1, 1)),
-                          np.zeros((1, 2, 1, 1)), np.zeros((1, 1, 2, 1, 1)))
-        parent = LevelData(scalar(1), None, None, np.zeros((1, 1, 1, 1, 1)))
+        carry = LevelData(np.zeros((1, 2, 1, 1)), np.zeros((1, 2, 1, 1)), np.zeros((1, 2, 1, 1)))
+        parent = LevelData(scalar(1), None, None)
         with pytest.raises(SingularBlockError) as info:
             upward_step(carry, parent, [2], child_level=0)
         assert info.value.level == 1
         assert info.value.node == 1
+        with pytest.raises(TypeError, match="child_level"):  # no default to report level 1
+            upward_step(carry, parent, [2])
+
+    def test_nan_schur_complement_raises(self):
+        # two leaves with B = 1e200 and C = +-1e200: the root's A becomes inf - inf = NaN
+        one = np.ones((1, 2, 1, 1))
+        params = LevelParams((one, scalar(1)), (1e200 * one,),
+                             (np.array([1e200, -1e200]).reshape(1, 2, 1, 1),))
+        tree = build_perfect_tree(2, 2)
+        u = random_rhs(tree, 1, rng=np.random.default_rng(1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SingularBlockError, match="level 2, node 1"):
+                solve(params, tree, u)
 
 
 class TestDownwardStep:
@@ -458,9 +473,9 @@ def _right_part(tree, heads=1):
      "right part heads 2 != parameter heads 1"),
     (lambda: solve(_CHAIN_PARAMS, _CHAIN, _right_part(build_perfect_tree(2, 4))),
      "right part node counts"),
-    (lambda: upward_step(LevelData(_CHAIN_PARAMS.A[2], None, None, np.zeros((1, 1, 1, 1, 1))),
-                         LevelData(_CHAIN_PARAMS.A[2], None, None, np.zeros((1, 1, 1, 1, 1))),
-                         [1]), "needs a child level with parent couplings"),
+    (lambda: upward_step(LevelData(_CHAIN_PARAMS.A[2], None, None),
+                         LevelData(_CHAIN_PARAMS.A[2], None, None), [1], child_level=1),
+     "needs a child level with parent couplings"),
 ], ids=["depth", "heads", "node-counts", "no-couplings"])
 def test_structure_errors(call, fragment):
     with pytest.raises(ValueError, match=re.escape(fragment)):
@@ -607,15 +622,16 @@ def _level_loop(params, tree, u):
     """solve as a plain level loop that hands the steps raw split-size lists."""
     def level(l):
         up = l < tree.depth - 1
-        return LevelData(params.A[l], params.B[l] if up else None,
-                         params.C[l] if up else None, u.levels[l])
+        return LevelData(params.A[l], params.B[l] if up else None, params.C[l] if up else None)
 
-    carry, hats = level(0), []
+    carry, carry_u, hats = level(0), u.levels[0], []
     for l in range(1, tree.depth):
-        carry, (u_hat, b_hat, _) = upward_step(carry, level(l), list(tree.split_sizes[l - 1]),
-                                               child_level=l - 1)
+        split = list(tree.split_sizes[l - 1])
+        carry, (b_hat, inv) = upward_step(carry, level(l), split, child_level=l - 1)
+        u_hat = inv @ carry_u
+        carry_u = u.levels[l] - segment_sum(params.C[l - 1] @ u_hat, split, axis=2)
         hats.append((u_hat, b_hat))
-    xs = [invert_level(carry.A, tree.depth) @ carry.u]
+    xs = [invert_level(carry.A, tree.depth) @ carry_u]
     for l in range(tree.depth - 2, -1, -1):
         xs.insert(0, downward_step(*hats[l], xs[0], list(tree.split_sizes[l])))
     return TreeVector(tuple(xs))

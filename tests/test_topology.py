@@ -317,8 +317,9 @@ def test_cached_groups_leave_equality_hash_and_repr_alone():
     (lambda: build_perfect_tree(2.0, 4), "arity must be an integer, got 2.0"),
     (lambda: build_perfect_tree(2, 4.0), "leaf count must be an integer, got 4.0"),
     (lambda: build_chain(3.7), "chain length must be an integer, got 3.7"),
+    (lambda: build_chain(True), "chain length must be an integer, got True"),
 ], ids=["level-size", "split-size", "grid-height", "grid-width", "arity", "leaf-count",
-        "chain-length"])
+        "chain-length", "bool-chain-length"])
 def test_sizes_must_be_integers(call, fragment):
     with pytest.raises(ValueError, match=re.escape(fragment)):
         call()
