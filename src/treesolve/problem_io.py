@@ -71,7 +71,7 @@ def read_problem(path):
         raise ValueError(f"malformed problem header: expected a JSON object, "
                          f"got {type(header).__name__}")
     version = header.get("format_version")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:  # true and 1.0 equal 1
         raise ValueError(f"unsupported format version {version!r}")
     try:
         tree = _tree_from_header(header["tree"])

@@ -119,6 +119,20 @@ def test_bad_header_rejected(tmp_path):
         read_problem(path)
 
 
+@pytest.mark.parametrize("version", [True, 1.0, "1"], ids=["bool", "float", "string"])
+def test_format_version_must_be_the_integer(tmp_path, version):
+    # true and 1.0 compare equal to 1, but only the integer 1 is version 1
+    tree = build_perfect_tree(2, 4)
+    path, _ = roundtrip(tmp_path, tree, init_random_stable(tree, 1, seed=0),
+                        random_rhs(tree, 1, rng=np.random.default_rng(6)))
+    header, _, payload = path.read_bytes().partition(b"\n")
+    header = json.loads(header)
+    header["format_version"] = version
+    path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+    with pytest.raises(ValueError, match=re.escape(f"unsupported format version {version!r}")):
+        read_problem(path)
+
+
 def test_write_rejects_right_part_with_other_heads(tmp_path):
     tree = build_perfect_tree(2, 4)
     params = init_random_stable(tree, 1, heads=2, seed=0)

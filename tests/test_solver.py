@@ -8,8 +8,8 @@ from treesolve import (DenseSystem, LevelData, LevelParams, SingularBlockError,
                        build_perfect_tree, init_random_stable, solve,
                        solve_transpose, solve_with_stats, upward_step, vjp)
 from treesolve.linalg import invert_level
-from treesolve.solver import (downward_step, downward_sweep, segment_sum, transpose_params,
-                              upward_sweep)
+from treesolve.solver import (_block_product, downward_step, downward_sweep, segment_sum,
+                              transpose_params, upward_sweep)
 from helpers import dot, jvp, perturbation_like, random_params, random_rhs, rel_err
 
 
@@ -94,6 +94,30 @@ class TestDownwardStep:
         got = downward_step(u_hat, b_hat, xp, [2, 2])
         want = u_hat + b_hat @ np.repeat(xp, [2, 2], axis=2)
         np.testing.assert_array_equal(got, want)
+
+
+class TestBlockProduct:
+    """Scalar blocks multiply elementwise, with the bytes ``@`` gives."""
+
+    @pytest.mark.parametrize("m, p", [(1, 1), (1, 3), (3, 1), (3, 3), (1, 2), (3, 2)])
+    @pytest.mark.parametrize("b_lead", [(2, 5), (4, 2, 5)], ids=["blocks", "right-parts"])
+    def test_bytes_equal_matmul(self, m, p, b_lead):
+        rng = np.random.default_rng(7)
+        a = rng.standard_normal((2, 5, m, 1))
+        b = rng.standard_normal((*b_lead, 1, p))
+        a[:, ::2] = 0.0  # zeros times negative entries: -0.0 under a plain multiply
+        b[..., 1::2, :, :] = -np.abs(b[..., 1::2, :, :])
+        b[..., 0, :, :] = -0.0
+        assert np.signbit((a * b)[a * b == 0]).any()
+        got, want = _block_product(a, b), a @ b
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()  # signs of zeros included
+
+    def test_inner_size_mismatch_raises_like_matmul(self):
+        a, b = np.ones((2, 5, 3, 1)), np.ones((2, 5, 2, 2))
+        for product in (np.matmul, _block_product):
+            with pytest.raises(ValueError):
+                product(a, b)
 
 
 class TestSolve:
@@ -494,8 +518,8 @@ def _arrays(result):
 def _assert_identical(got, want):
     got, want = _arrays(got), _arrays(want)
     assert len(got) == len(want)
-    for a, b in zip(got, want):
-        assert np.array_equal(a, b)
+    for a, b in zip(got, want):  # bytes, so a -0.0 for a +0.0 differs too
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def _twin(params):
@@ -678,6 +702,34 @@ class TestChildGroupPath:
             _assert_identical(solve_transpose(params, tree, g),
                               _level_loop(transpose_params(params), tree, g))
             _assert_identical(vjp(params, tree, u, x, g), _level_loop_vjp(params, tree, x, g))
+
+    def test_scalar_zero_right_part_with_negative_diagonal(self):
+        # the inverses are negative, so a plain multiply of the zero right part gives -0.0
+        tree = self.TREES["one-child-and-branching"][0]()
+        params = random_params(tree, 1, heads=2, rng=np.random.default_rng(53))
+        params = LevelParams(tuple(-a for a in params.A), params.B, params.C)
+        zero = TreeVector(tuple(np.zeros((2, 2, n, 1, 1)) for n in tree.level_sizes))
+        want = _level_loop(params, tree, zero)
+        assert not any(np.signbit(x).any() for x in want.levels)
+        for _ in ("miss", "hit"):
+            _assert_identical(solve(params, tree, zero), want)
+            _assert_identical(solve_transpose(params, tree, zero),
+                              _level_loop(transpose_params(params), tree, zero))
+
+    def test_transpose_params_are_read_only_views(self):
+        make, d = self.TREES["block-sizes-per-level"]
+        params = random_params(make(), d, heads=2, rng=np.random.default_rng(54))
+        views = transpose_params(params)
+        copy = LevelParams(views.A, views.B, views.C)
+        for view, own, copied in zip(views.A + views.B + views.C,
+                                     params.A + params.C + params.B,
+                                     copy.A + copy.B + copy.C):
+            assert not view.flags.writeable
+            assert np.shares_memory(view, own)
+            # the strides LevelParams's copy keeps; a length-1 axis's stride addresses nothing
+            assert ([s for s, n in zip(view.strides, view.shape) if n > 1]
+                    == [s for s, n in zip(copied.strides, copied.shape) if n > 1])
+            assert np.array_equal(view, own.swapaxes(-1, -2))
 
     def test_one_child_steps_equal_the_general_ones(self):
         rng = np.random.default_rng(51)
