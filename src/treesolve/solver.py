@@ -42,15 +42,22 @@ sum is one rounded product on every ``matmul`` path, so results are the
 same to the bit, signed zeros included.
 
 Index data once per tree.  Each :class:`TreeTopology` instance computes its
-levels' child groups (sizes, ``reduceat`` starts, non-empty mask and parent
-indices) on first use and keeps them, so a sweep only reads them.  A level
-on which every parent has exactly one child is the shared marker
-``ONE_CHILD`` and costs no index work at all: its segment sums are their
-input, back-substitution uses the parent solutions without ``np.repeat``,
-and :func:`vjp` skips the parent gather.  Results are unchanged to the bit.
-The data costs one shared reference per one-child level (8 KB for a
-1024-level chain) and, per branching level, 16 bytes per parent and 8 per
-child (262 KB for a 16384-leaf quadtree).
+levels' child groups (sizes, ``reduceat`` starts, non-empty mask, parent
+indices and the arity every parent shares, if any) on first use and keeps
+them, so a sweep only reads them.  A level on which every parent has
+exactly one child is the shared marker ``ONE_CHILD`` and costs no index
+work at all: its segment sums are their input, back-substitution uses the
+parent solutions without ``np.repeat``, and :func:`vjp` skips the parent
+gather.  A level on which every parent has the same k children, 2 <= k <=
+8, sums its messages by adding the k slices of a ``(parents, k)`` view, in
+the order ``np.add.reduceat`` adds them (:func:`segment_sum`), 1.7 to 7.6x
+faster than ``reduceat`` on the leaf levels of 16384- and 1024-leaf
+quadtrees; other levels use ``reduceat``.
+:func:`vjp` gathers parent solutions with ``np.repeat``, laid out in memory
+as an index gather would be.  Results are unchanged to the bit.  The data
+costs one shared reference per one-child level (8 KB for a 1024-level
+chain) and, per branching level, 16 bytes per parent and 8 per child
+(262 KB for a 16384-leaf quadtree).
 """
 
 from typing import NamedTuple, Optional
@@ -132,10 +139,27 @@ def segment_sum(values: np.ndarray, sizes, axis: int) -> np.ndarray:
 
     ``sizes`` is a level's :class:`ChildGroups` or its child counts per
     parent.  With one child per parent the sums are ``values`` itself.
+    Where every parent has the same k children, 2 <= k <= 8, the groups are
+    slices of a ``(parents, k)`` view, added as ``v0 + (((v1 + v2) + v3) +
+    ...)``.  That is the order in which ``np.add.reduceat`` sums a group
+    whose tail after the first entry is shorter than 8, so the bytes are the
+    same, signed zeros included; from 8 on it sums the tail pairwise, so
+    larger or unequal groups use ``reduceat`` itself.
     """
     groups = ChildGroups.of(sizes)
     if groups is ONE_CHILD:
         return values
+    k = groups.arity
+    if k is not None and k <= 8:
+        axis %= values.ndim
+        parts = values.reshape(values.shape[:axis] + (-1, k) + values.shape[axis + 1:])
+        part = [parts[(slice(None),) * (axis + 1) + (j,)] for j in range(k)]
+        if k == 2:
+            return part[0] + part[1]
+        tail = part[1] + part[2]
+        for p in part[3:]:
+            tail += p
+        return np.add(part[0], tail, out=tail)
     sums = np.add.reduceat(values, groups.starts, axis=axis)
     if groups.full is None:
         return sums
@@ -144,6 +168,16 @@ def segment_sum(values: np.ndarray, sizes, axis: int) -> np.ndarray:
     out = np.zeros(shape, dtype=sums.dtype)
     np.moveaxis(out, axis, 0)[groups.full] = np.moveaxis(sums, axis, 0)
     return out
+
+
+def _gather_parents(v: np.ndarray, groups: ChildGroups) -> np.ndarray:
+    """Each child's parent entry of a right-part-shaped ``v``, like ``v[:, :, groups.parents]``.
+
+    The node axis is repeated outermost in memory, as the index gather lays
+    it out: :func:`vjp`'s ``einsum`` sums in an order that follows its
+    operands' strides, so a C-ordered repeat changes bits when r > 1.
+    """
+    return np.moveaxis(np.repeat(np.moveaxis(v, 2, 0), groups.sizes, axis=0), 0, 2)
 
 
 def _block_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -322,7 +356,7 @@ def vjp(params: LevelParams, tree: TreeTopology, u: TreeVector, x: TreeVector,
             x_up, y_up = x.levels[l + 1], y.levels[l + 1]
             groups = tree.child_groups(l)
             if groups is not ONE_CHILD:  # with one child per parent the gather is the identity
-                x_up, y_up = x_up[:, :, groups.parents], y_up[:, :, groups.parents]
+                x_up, y_up = _gather_parents(x_up, groups), _gather_parents(y_up, groups)
             grad_B.append(-np.einsum("bhnir,bhnjr->hnij", y.levels[l], x_up))
             grad_C.append(-np.einsum("bhnir,bhnjr->hnij", y_up, x.levels[l]))
     return y, BlockGrads(tuple(grad_A), tuple(grad_B), tuple(grad_C))

@@ -432,6 +432,64 @@ def test_segment_sum_with_empty_groups():
     np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
 
 
+def _reduceat_sums(values, sizes, axis):
+    """Group sums by ``np.add.reduceat`` alone, zero for an empty group."""
+    sizes = np.asarray(sizes)
+    full = sizes > 0
+    sums = np.add.reduceat(values, (np.cumsum(sizes) - sizes)[full], axis=axis)
+    out = np.zeros((len(sizes),) + np.moveaxis(sums, axis, 0).shape[1:])
+    out[full] = np.moveaxis(sums, axis, 0)
+    return np.moveaxis(out, 0, axis)
+
+
+def _segment_values(case, n, rng):
+    """Values with n entries along the summed axis, and that axis."""
+    if case == "axis0-1d":
+        return rng.standard_normal(n), 0
+    if case == "axis1-params":
+        return rng.standard_normal((2, n, 3, 3)), 1
+    shape = (2, 3, n, 2, 2)
+    if case == "axis2-right-parts":
+        return rng.standard_normal(shape), 2
+    if case == "not-c-contiguous":
+        values = np.asfortranarray(rng.standard_normal(shape))[..., ::-1]
+        assert not values.flags.c_contiguous
+        return values, 2
+    if case == "signed-zeros":
+        values = np.where(rng.random(shape) < 0.5, 0.0, -0.0)
+        values[:, :, :2 * n // 5] = -0.0  # with five equal groups, the first two
+        return values, 2
+    assert case == "overflow"
+    return rng.uniform(0.3, 1.0, shape) * 1.7e308, 2
+
+
+_CASES = ["axis0-1d", "axis1-params", "axis2-right-parts", "not-c-contiguous", "signed-zeros",
+          "overflow"]
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+@pytest.mark.parametrize("case", _CASES)
+def test_equal_groups_of_up_to_eight_sum_to_reduceats_bytes(case, k):
+    values, axis = _segment_values(case, 5 * k, np.random.default_rng(k))
+    with np.errstate(over="ignore" if case == "overflow" else "warn"):
+        got = segment_sum(values, [k] * 5, axis=axis)
+        _assert_identical(got, np.add.reduceat(values, np.arange(0, 5 * k, k), axis=axis))
+    if case == "signed-zeros":
+        assert np.signbit(got[:, :, :2]).all()
+    if case == "overflow":
+        assert np.isposinf(got).any()
+
+
+@pytest.mark.parametrize("sizes", [[9] * 3, [16] * 2, [2, 0, 3, 3], [0, 4, 4], [2, 3, 1, 4]],
+                         ids=["9-ary", "16-ary", "childless", "childless-else-equal", "mixed"])
+@pytest.mark.parametrize("case", _CASES)
+def test_other_groups_sum_by_reduceat(case, sizes):
+    values, axis = _segment_values(case, sum(sizes), np.random.default_rng(len(sizes)))
+    with np.errstate(over="ignore" if case == "overflow" else "warn"):
+        _assert_identical(segment_sum(values, sizes, axis=axis),
+                          _reduceat_sums(values, sizes, axis))
+
+
 class TestVjpChecksSolution:
     def setup_method(self):
         rng = np.random.default_rng(30)
@@ -686,6 +744,10 @@ class TestChildGroupPath:
         "block-sizes-per-level": (
             lambda: TreeTopology((4, 4, 2, 2, 1), ((1, 1, 1, 1), (2, 2), (1, 1), (2,))),
             [2, 1, 3, 2, 4]),
+        # perfect trees sum by slices (arity 4) and by reduceat (arity 16); with
+        # r = 2 the vjp einsums also see how the parent gather is laid out
+        "4-ary": (lambda: build_perfect_tree(4, 64), 2),
+        "16-ary": (lambda: build_perfect_tree(16, 256), 1),
     }
 
     @pytest.mark.parametrize("name", TREES)

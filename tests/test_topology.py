@@ -81,6 +81,8 @@ class TestBuilders:
         tree = build_chain(5)
         assert tree.level_sizes == (1, 1, 1, 1, 1)
         assert tree.split_sizes == ((1,),) * 4
+        # one shared instance per length, however the length is given
+        assert build_chain(5) is build_chain(np.int32(5)) is build_chain(np.array(5)) is tree
 
     def test_equality_is_structural(self):
         assert [f.name for f in dataclasses.fields(TreeTopology)] == ["level_sizes",
@@ -287,11 +289,24 @@ def test_child_groups_of_size_lists():
         np.testing.assert_array_equal(got, want)
 
 
+def test_child_groups_arity():
+    assert ChildGroups.of([3, 3]).arity == 3
+    assert ChildGroups.of(np.full(4, 9)).arity == 9
+    assert ChildGroups.of([2, 0, 3]).arity is None
+    assert ChildGroups.of([2, 2, 3]).arity is None
+    assert ChildGroups.of([0, 0]).arity is None
+    assert ONE_CHILD.arity is None
+    assert [_MIXED.child_groups(l).arity for l in range(3)] == [None, None, 3]
+
+
 def test_child_groups_are_computed_once_and_read_only():
     tree = TreeTopology(_MIXED.level_sizes, _MIXED.split_sizes)
     assert tree.child_groups(0) is tree.child_groups(0)
     for l in range(tree.depth - 1):
-        arrays = [a for a in tree.child_groups(l) if a is not None]
+        groups = tree.child_groups(l)
+        assert groups.arity is None or type(groups.arity) is int
+        # every other field is an array or None
+        arrays = [a for f, a in zip(groups._fields, groups) if f != "arity" and a is not None]
         arrays += [tree.splits(l), tree.parent_indices(l)]
         for a in arrays:
             assert not a.flags.writeable
