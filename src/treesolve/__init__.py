@@ -16,8 +16,7 @@ from .oracle import (DenseSystem, bidiagonal_solve, chain_inverse_entry,
 from .params import (LevelParams, TreeVector, apply_gauge, init_random_stable,
                      scale_rhs, ssm_to_chain)
 from .problem_io import read_problem, write_problem
-from .solver import (LevelData, solve, solve_transpose, solve_with_stats,
-                     upward_step, vjp)
+from .solver import solve, solve_transpose, solve_with_stats, upward_step, vjp
 from .topology import (GridShape, TreeTopology, build_chain, build_perfect_tree,
                        build_quadtree, flatten_image, order_indices)
 
@@ -31,7 +30,7 @@ __all__ = [
     "LevelParams", "TreeVector", "apply_gauge", "init_random_stable", "scale_rhs",
     "ssm_to_chain",
     "read_problem", "write_problem",
-    "LevelData", "solve", "solve_transpose", "solve_with_stats", "upward_step", "vjp",
+    "solve", "solve_transpose", "solve_with_stats", "upward_step", "vjp",
     "GridShape", "TreeTopology", "build_chain", "build_perfect_tree",
     "build_quadtree", "flatten_image", "order_indices",
     "__version__",

@@ -108,8 +108,10 @@ def aggregate_topk(x: TreeVector, config: LayerConfig) -> np.ndarray:
     Counting from the root downward inclusive, so ``top_levels=1`` returns
     exactly the root state.  Result shape: (batch, heads, d, r).
     """
-    k = config.top_levels
-    picked = x.levels[x.depth - k :]
+    if x.node_counts != config.tree.level_sizes:
+        raise ValueError(f"solution node counts {x.node_counts} != tree level sizes "
+                         f"{config.tree.level_sizes}")
+    picked = x.levels[x.depth - config.top_levels :]
     dims = {v.shape[3] for v in picked}
     if len(dims) > 1:
         raise ValueError(f"aggregated levels have mixed block sizes {sorted(dims)}")

@@ -12,11 +12,12 @@ Floats round-trip bit for bit.
 """
 
 import json
+import math
 
 import numpy as np
 
 from .params import LevelParams, TreeVector, _block_size_list
-from .topology import TreeTopology, _positive, build_perfect_tree
+from .topology import TreeTopology, _perfect_level_sizes, _positive, build_perfect_tree
 
 __all__ = ["FORMAT_VERSION", "write_problem", "read_problem"]
 
@@ -33,6 +34,12 @@ def _tree_header(tree: TreeTopology) -> dict:
         "level_sizes": list(tree.level_sizes),
         "split_sizes": [list(grp) for grp in tree.split_sizes],
     }
+
+
+def _level_sizes_from_header(entry: dict) -> tuple:
+    if "arity" in entry:
+        return _perfect_level_sizes(entry["arity"], entry["leaf_count"])
+    return tuple(_positive(n, "level size") for n in entry["level_sizes"])
 
 
 def _tree_from_header(entry: dict) -> TreeTopology:
@@ -73,33 +80,34 @@ def read_problem(path):
     version = header.get("format_version")
     if type(version) is not int or version != FORMAT_VERSION:  # true and 1.0 equal 1
         raise ValueError(f"unsupported format version {version!r}")
+    # the payload is sized from the header alone, in exact integers, so a
+    # header claiming a huge tree is refused before anything that large is built
     try:
-        tree = _tree_from_header(header["tree"])
+        n = _level_sizes_from_header(header["tree"])
+        depth = len(n)
         if not isinstance(header["block_sizes"], list):
             raise TypeError(f"block_sizes must be a list, got {header['block_sizes']!r}")
-        d = _block_size_list(header["block_sizes"], tree.depth)
+        d = _block_size_list(header["block_sizes"], depth)
         heads, batch, r = (_positive(header[k], k) for k in ("heads", "batch", "right_parts"))
+        shapes = (
+            [(heads, n[l], d[l], d[l]) for l in range(depth)]
+            + [(heads, n[l], d[l], d[l + 1]) for l in range(depth - 1)]
+            + [(heads, n[l], d[l + 1], d[l]) for l in range(depth - 1)]
+            + [(batch, heads, n[l], d[l], r) for l in range(depth)]
+        )
+        data = np.frombuffer(payload, dtype=_DTYPE)
+        total = sum(math.prod(s) for s in shapes)
+        if data.size != total:
+            raise ValueError(f"payload holds {data.size} floats, expected {total}")
+        tree = _tree_from_header(header["tree"])
     except KeyError as e:
         raise ValueError(f"malformed problem header: missing key {e}") from None
     except (TypeError, AttributeError) as e:
         raise ValueError(f"malformed problem header: {e}") from None
-    n = tree.level_sizes
-    shapes = (
-        [(heads, n[l], d[l], d[l]) for l in range(tree.depth)]
-        + [(heads, n[l], d[l], d[l + 1]) for l in range(tree.depth - 1)]
-        + [(heads, n[l], d[l + 1], d[l]) for l in range(tree.depth - 1)]
-        + [(batch, heads, n[l], d[l], r) for l in range(tree.depth)]
-    )
-    total = sum(int(np.prod(s)) for s in shapes)
-    data = np.frombuffer(payload, dtype=_DTYPE)
-    if data.size != total:
-        raise ValueError(f"payload holds {data.size} floats, expected {total}")
     arrays, at = [], 0
     for s in shapes:
-        cnt = int(np.prod(s))
-        arrays.append(data[at : at + cnt].reshape(s))
-        at += cnt
-    depth = tree.depth
+        arrays.append(data[at : at + math.prod(s)].reshape(s))
+        at += math.prod(s)
     params = LevelParams(
         tuple(arrays[:depth]),
         tuple(arrays[depth : 2 * depth - 1]),

@@ -21,16 +21,19 @@ Factor, then apply.  The inverses, the b_hat blocks and the root's inverse
 depend only on the parameters and the tree, so :func:`_factor` builds them
 once, on the first solve of a :class:`LevelParams` instance on a tree, with
 :func:`upward_step` on every level, and caches them on the instance as one
-read-only factor, keyed by the tree and the direction.  A factor also keeps
-its system's couplings C, so :func:`upward_sweep`'s one right-part loop
-(u_hat and the u_p message) reads nothing else: it is the same loop on a
-first call and on every later one, with bit-identical results.  A transpose
-factor is eliminated from read-only transposed views of the parameters
-(:func:`transpose_params`), so nothing is copied and its couplings are views
-of ``params.B``.  The cache holds, per tree and direction, one inverse and
-one b_hat block per non-root node: 22 MB per direction, 45 MB for both, on
-a 16384-leaf quadtree with 4 heads and d = 4.  It lives as long as the
-instance.  Concurrent first calls may each build a factor; they store equal
+read-only factor, keyed by the tree and the direction.  ``upward_step(a, B,
+C, a_parent, split)`` mirrors ``downward_step(u_hat, b_hat, x_parent,
+split)``: both take one level's plain block arrays and its parents', and
+the upward one returns the parents' carry diagonal, b_hat and the inverse.
+A factor also keeps its system's couplings C, so :func:`upward_sweep`'s one
+right-part loop (u_hat and the u_p message) reads nothing else: it is the
+same loop on a first call and on every later one, with bit-identical
+results.  A transpose factor is eliminated from read-only transposed views
+of the parameters (:func:`transpose_params`), so nothing is copied and its
+couplings are views of ``params.B``.  The cache holds, per tree and
+direction, one inverse and one b_hat block per non-root node: 22 MB per
+direction, 45 MB for both, on a 16384-leaf quadtree with 4 heads and d =
+4.  It lives as long as the instance.  Concurrent first calls may each build a factor; they store equal
 ones.  A singular block anywhere, the root included, raises before anything
 is cached, so every call raises it again.
 
@@ -60,7 +63,7 @@ chain) and, per branching level, 16 bytes per parent and 8 per child
 (262 KB for a 16384-leaf quadtree).
 """
 
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,24 +71,7 @@ from .linalg import invert_level
 from .params import BlockGrads, LevelParams, TreeVector
 from .topology import ONE_CHILD, ChildGroups, TreeTopology
 
-__all__ = ["LevelData", "SolveStats", "solve", "solve_with_stats", "solve_transpose",
-           "upward_step", "vjp"]
-
-
-class LevelData(NamedTuple):
-    """One level's parameter blocks during elimination; B/C are None at the root."""
-
-    A: np.ndarray
-    B: Optional[np.ndarray]
-    C: Optional[np.ndarray]
-
-
-class _TransposedParams(NamedTuple):
-    """The transposed system's per-level blocks, as :class:`LevelParams` holds them."""
-
-    A: tuple
-    B: tuple
-    C: tuple
+__all__ = ["SolveStats", "solve", "solve_with_stats", "solve_transpose", "upward_step", "vjp"]
 
 
 class _Factor(NamedTuple):
@@ -194,22 +180,20 @@ def _block_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b
 
 
-def upward_step(carry: LevelData, parent: LevelData, split, *, child_level: int):
+def upward_step(a: np.ndarray, B: np.ndarray, C: np.ndarray, a_parent: np.ndarray, split, *,
+                child_level: int):
     """Eliminate one child level's parameter blocks into its parent level.
 
-    ``carry`` holds the child level (diagonal already Schur-updated by
-    previous steps), ``parent`` the untouched parent level, ``split`` the
-    child groups, as for :func:`segment_sum`, and ``child_level`` the
-    child level's 0-based index, for naming a singular block.  Returns the
-    new parent-level carry (A_hat, B_p, C_p) plus the child's (b_hat_c, inv_c).
+    ``a`` is the child level's carry diagonal (already Schur-updated by the
+    levels below), ``B`` and ``C`` its couplings to and from the parents,
+    ``a_parent`` the parents' diagonal, ``split`` the child groups, as for
+    :func:`segment_sum`, and ``child_level`` the child level's 0-based
+    index, for naming a singular block.  Returns the parents' carry diagonal
+    a_parent + sum_children C b_hat, the child's b_hat = -a^{-1} B and a^{-1}.
     """
-    if carry.B is None or carry.C is None:
-        raise ValueError("upward_step needs a child level with parent couplings")
-    split = ChildGroups.of(split)
-    inv = invert_level(carry.A, child_level + 1)
-    b_hat = -_block_product(inv, carry.B)
-    a_new = parent.A + segment_sum(_block_product(carry.C, b_hat), split, axis=1)
-    return LevelData(a_new, parent.B, parent.C), (b_hat, inv)
+    inv = invert_level(a, child_level + 1)
+    b_hat = -_block_product(inv, B)
+    return a_parent + segment_sum(_block_product(C, b_hat), split, axis=1), b_hat, inv
 
 
 def downward_step(u_hat: np.ndarray, b_hat: np.ndarray, x_parent: np.ndarray,
@@ -228,23 +212,16 @@ def _factor(params: LevelParams, tree: TreeTopology, transposed: bool) -> _Facto
     factor = params._factors.get((tree, transposed))
     if factor is not None:
         return factor
-    system = transpose_params(params) if transposed else params
-    depth = tree.depth
-
-    def level_data(l):
-        has_up = l < depth - 1
-        return LevelData(system.A[l], system.B[l] if has_up else None,
-                         system.C[l] if has_up else None)
-
-    carry, b_hats, invs = level_data(0), [], []
-    for l in range(1, depth):
-        carry, (b_hat, inv) = upward_step(carry, level_data(l), tree.child_groups(l - 1),
-                                          child_level=l - 1)
+    A, B, C = transpose_params(params) if transposed else (params.A, params.B, params.C)
+    a, b_hats, invs = A[0], [], []
+    for l in range(1, tree.depth):
+        a, b_hat, inv = upward_step(a, B[l - 1], C[l - 1], A[l], tree.child_groups(l - 1),
+                                    child_level=l - 1)
         b_hats.append(b_hat)
         invs.append(inv)
-    factor = _Factor(tuple(invs), tuple(b_hats), system.C, invert_level(carry.A, depth))
-    for a in (*invs, *b_hats, factor.root_inv):
-        a.setflags(write=False)  # every later solve shares them
+    factor = _Factor(tuple(invs), tuple(b_hats), C, invert_level(a, tree.depth))
+    for m in (*invs, *b_hats, factor.root_inv):
+        m.setflags(write=False)  # every later solve shares them
     params._factors[(tree, transposed)] = factor
     return factor
 
@@ -308,17 +285,14 @@ def solve_with_stats(params: LevelParams, tree: TreeTopology, u: TreeVector):
     )
 
 
-def transpose_params(params: LevelParams) -> _TransposedParams:
-    """Blocks of the transposed system: A -> A^T and B/C swap transposed.
+def transpose_params(params: LevelParams) -> tuple:
+    """Blocks (A, B, C) of the transposed system: A -> A^T and B/C swap transposed.
 
     They are read-only views of ``params``'s blocks, laid out as a copy in
     ``LevelParams`` would be, so results are the same to the bit.
     """
-    return _TransposedParams(
-        tuple(a.swapaxes(-1, -2) for a in params.A),
-        tuple(c.swapaxes(-1, -2) for c in params.C),
-        tuple(b.swapaxes(-1, -2) for b in params.B),
-    )
+    return tuple(tuple(m.swapaxes(-1, -2) for m in blocks)
+                 for blocks in (params.A, params.C, params.B))
 
 
 def solve_transpose(params: LevelParams, tree: TreeTopology, g: TreeVector) -> TreeVector:

@@ -177,13 +177,6 @@ class TreeTopology:
         """Child groups of the parents above 0-based level ``child_level``."""
         return self._child_groups[child_level]
 
-    def splits(self, child_level: int) -> np.ndarray:
-        """Child-group sizes for the parents above 0-based level ``child_level``."""
-        sizes = self.child_groups(child_level).sizes
-        if sizes is None:
-            return _read_only(np.ones(self.level_sizes[child_level], dtype=np.int64))
-        return sizes
-
     def parent_indices(self, child_level: int) -> np.ndarray:
         """Index within level ``child_level + 1`` of each node's parent."""
         parents = self.child_groups(child_level).parents
@@ -202,16 +195,19 @@ def build_perfect_tree(arity: int, leaf_count: int) -> TreeTopology:
     ``leaf_count = arity**d`` gives ``d + 1`` levels with sizes
     ``arity**d, arity**(d-1), ..., 1``.
     """
+    sizes = _perfect_level_sizes(arity, leaf_count)
+    return TreeTopology(sizes, tuple((n // p,) * p for n, p in zip(sizes, sizes[1:])))
+
+
+def _perfect_level_sizes(arity: int, leaf_count: int) -> tuple[int, ...]:
+    """Level sizes of :func:`build_perfect_tree`, without building the tree."""
     arity, leaf_count = _positive(arity, "arity"), _positive(leaf_count, "leaf count")
     sizes = [leaf_count]
-    n = leaf_count
-    while n > 1:
-        if arity == 1 or n % arity != 0:
+    while sizes[-1] > 1:
+        if arity == 1 or sizes[-1] % arity != 0:
             raise ValueError(f"leaf count {leaf_count} is not a power of arity {arity}")
-        n //= arity
-        sizes.append(n)
-    splits = tuple(tuple([arity] * sizes[l + 1]) for l in range(len(sizes) - 1))
-    return TreeTopology(tuple(sizes), splits)
+        sizes.append(sizes[-1] // arity)
+    return tuple(sizes)
 
 
 def build_quadtree(grid: GridShape) -> TreeTopology:
@@ -309,5 +305,5 @@ def dfs_postorder_perm(tree: TreeTopology) -> np.ndarray:
         # child c of p sits at first(p) - 1 + the sizes of c and its earlier siblings;
         # the level-wide cumsum adds the subtrees under earlier parents, `before` removes them
         before = perms[0] - np.cumsum(sizes[l + 1] - 1) - 1
-        perms.insert(0, np.repeat(before, tree.splits(l)) + np.cumsum(sizes[l]))
+        perms.insert(0, np.repeat(before, tree.split_sizes[l]) + np.cumsum(sizes[l]))
     return np.concatenate(perms)

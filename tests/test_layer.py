@@ -124,6 +124,16 @@ class TestAggregate:
         with pytest.raises(ValueError):
             config_for(tree, top_levels=4)
 
+    def test_solution_of_another_tree_refused(self):
+        # top_levels=4 on a depth-2 solution would average its 2 levels, 1 and 2, to 1.333
+        x = TreeVector((np.ones((1, 1, 2, 1, 1)), np.full((1, 1, 1, 1, 1), 2.0)))
+        with pytest.raises(ValueError, match=re.escape(
+                "solution node counts (2, 1) != tree level sizes (8, 4, 2, 1)")):
+            aggregate_topk(x, config_for(build_perfect_tree(2, 8), top_levels=4))
+        with pytest.raises(ValueError, match=re.escape(
+                "solution node counts (2, 1) != tree level sizes (3, 1)")):
+            aggregate_topk(x, config_for(build_perfect_tree(3, 3), top_levels=2))
+
 
 class TestBidirectionalChain:
     @staticmethod

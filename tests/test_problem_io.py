@@ -190,3 +190,34 @@ def test_header_errors(tmp_path, changes, fragment):
     _with_header(path, **changes)
     with pytest.raises(ValueError, match=re.escape(fragment)):
         read_problem(path)
+
+
+def _header_only(path, tree, block_sizes, batch=1, right_parts=1, floats=0):
+    header = {"batch": batch, "block_sizes": block_sizes, "format_version": 1, "heads": 1,
+              "right_parts": right_parts, "tree": tree}
+    path.write_bytes(json.dumps(header).encode() + b"\n" + np.zeros(floats, "<f8").tobytes())
+
+
+def test_short_payload_refused_before_the_tree_is_built(tmp_path, monkeypatch):
+    import treesolve.problem_io as problem_io
+    built = []
+    monkeypatch.setattr(problem_io, "build_perfect_tree", lambda *a: built.append(a))
+    monkeypatch.setattr(problem_io, "TreeTopology", lambda *a: built.append(a))
+    path = tmp_path / "huge.bin"
+    # 2^24 leaves: building the tree alone would take seconds and hundreds of MB
+    _header_only(path, {"arity": 2, "leaf_count": 2 ** 24}, [1] * 25)
+    with pytest.raises(ValueError, match="payload holds 0 floats, expected 134217722$"):
+        read_problem(path)
+    _header_only(path, {"level_sizes": [2 ** 40, 1], "split_sizes": [[2 ** 40]]}, [1, 1])
+    with pytest.raises(ValueError, match=f"payload holds 0 floats, expected {2 ** 42 + 2}$"):
+        read_problem(path)
+    assert built == []
+
+
+def test_payload_count_is_exact(tmp_path):
+    # batch * right_parts = 2^64 wraps to 0 in int64, so 7 floats would have matched
+    path = tmp_path / "wide.bin"
+    _header_only(path, {"arity": 2, "leaf_count": 2}, [1, 1], batch=2 ** 32,
+                 right_parts=2 ** 32, floats=7)
+    with pytest.raises(ValueError, match=f"payload holds 7 floats, expected {7 + 3 * 2 ** 64}$"):
+        read_problem(path)

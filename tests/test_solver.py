@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from treesolve import (DenseSystem, LevelData, LevelParams, SingularBlockError,
+from treesolve import (DenseSystem, LevelParams, SingularBlockError,
                        TreeTopology, TreeVector, build_chain,
                        build_perfect_tree, init_random_stable, solve,
                        solve_transpose, solve_with_stats, upward_step, vjp)
@@ -20,11 +20,10 @@ def scalar(v):
 class TestUpwardStep:
     def test_scalar_star_example(self):
         # A1=2, B1=1, C1=1, A_root=3, u1=2, u_root=1
-        carry = LevelData(scalar(2), scalar(1), scalar(1))
-        new_carry, (b_hat, _) = upward_step(carry, LevelData(scalar(3), None, None), [1],
-                                            child_level=0)
+        a_root, b_hat, _ = upward_step(scalar(2), scalar(1), scalar(1), scalar(3), [1],
+                                       child_level=0)
         assert b_hat.reshape(-1)[0] == -0.5
-        assert new_carry.A.reshape(-1)[0] == 2.5
+        assert a_root.reshape(-1)[0] == 2.5
         params = LevelParams((scalar(2), scalar(3)), (scalar(1),), (scalar(1),))
         u = TreeVector((scalar(2)[None], scalar(1)[None]))
         state = upward_sweep(params, build_chain(2), u)
@@ -36,9 +35,8 @@ class TestUpwardStep:
         a_c, a_p = rng.standard_normal((1, 3, 2, 2)) + 3 * np.eye(2), scalar(4)
         u_c, u_p = rng.standard_normal((1, 1, 3, 2, 1)), scalar(7)[None]
         b_c, c_c = np.zeros((1, 3, 2, 1)), np.zeros((1, 3, 1, 2))
-        new_carry, (b_hat, _) = upward_step(LevelData(a_c, b_c, c_c), LevelData(a_p, None, None),
-                                            [3], child_level=0)
-        np.testing.assert_allclose(new_carry.A, a_p)
+        a_root, b_hat, _ = upward_step(a_c, b_c, c_c, a_p, [3], child_level=0)
+        np.testing.assert_allclose(a_root, a_p)
         np.testing.assert_array_equal(b_hat, 0)
         state = upward_sweep(LevelParams((a_c, a_p), (b_c,), (c_c,)),
                              TreeTopology((3, 1), ((3,),)), TreeVector((u_c, u_p)))
@@ -48,20 +46,18 @@ class TestUpwardStep:
     def test_two_identical_children_schur(self):
         # k=2 children, A=1, B=C=b: parent diagonal becomes A_p - 2 b^2
         b = 0.3
-        carry = LevelData(np.ones((1, 2, 1, 1)), np.full((1, 2, 1, 1), b),
-                          np.full((1, 2, 1, 1), b))
-        new_carry, _ = upward_step(carry, LevelData(scalar(5), None, None), [2], child_level=0)
-        np.testing.assert_allclose(new_carry.A.reshape(-1)[0], 5 - 2 * b * b)
+        a_root, _, _ = upward_step(np.ones((1, 2, 1, 1)), np.full((1, 2, 1, 1), b),
+                                   np.full((1, 2, 1, 1), b), scalar(5), [2], child_level=0)
+        np.testing.assert_allclose(a_root.reshape(-1)[0], 5 - 2 * b * b)
 
     def test_singular_child_named(self):
-        carry = LevelData(np.zeros((1, 2, 1, 1)), np.zeros((1, 2, 1, 1)), np.zeros((1, 2, 1, 1)))
-        parent = LevelData(scalar(1), None, None)
+        blocks = (np.zeros((1, 2, 1, 1)),) * 3 + (scalar(1),)
         with pytest.raises(SingularBlockError) as info:
-            upward_step(carry, parent, [2], child_level=0)
+            upward_step(*blocks, [2], child_level=0)
         assert info.value.level == 1
         assert info.value.node == 1
         with pytest.raises(TypeError, match="child_level"):  # no default to report level 1
-            upward_step(carry, parent, [2])
+            upward_step(*blocks, [2])
 
     def test_nan_schur_complement_raises(self):
         # two leaves with B = 1e200 and C = +-1e200: the root's A becomes inf - inf = NaN
@@ -372,7 +368,7 @@ class TestSolveState:
                 state.factor.b_hat[l], -np.linalg.solve(carry_A, params.B[l]), atol=1e-12)
             np.testing.assert_allclose(
                 state.u_hat[l], np.linalg.solve(carry_A, carry_u), atol=1e-12)
-            split = tree.splits(l)
+            split = tree.child_groups(l)
             carry_A = params.A[l + 1] + segment_sum(
                 params.C[l] @ state.factor.b_hat[l], split, axis=1)
             carry_u = u.levels[l + 1] - segment_sum(
@@ -555,10 +551,7 @@ def _right_part(tree, heads=1):
      "right part heads 2 != parameter heads 1"),
     (lambda: solve(_CHAIN_PARAMS, _CHAIN, _right_part(build_perfect_tree(2, 4))),
      "right part node counts"),
-    (lambda: upward_step(LevelData(_CHAIN_PARAMS.A[2], None, None),
-                         LevelData(_CHAIN_PARAMS.A[2], None, None), [1], child_level=1),
-     "needs a child level with parent couplings"),
-], ids=["depth", "heads", "node-counts", "no-couplings"])
+], ids=["depth", "heads", "node-counts"])
 def test_structure_errors(call, fragment):
     with pytest.raises(ValueError, match=re.escape(fragment)):
         call()
@@ -625,6 +618,21 @@ class TestFactorCache:
         # one self-sufficient factor per direction, and no transposed parameters
         assert set(params._factors) == {(tree, False), (tree, True)}
         assert all(type(f) is solver_module._Factor for f in params._factors.values())
+
+    def test_each_step_names_its_child_level_by_keyword(self, monkeypatch):
+        # treebench charges a step's time to the level its child_level keyword names
+        import treesolve.solver as solver_module
+        calls = []
+        step = solver_module.upward_step
+        monkeypatch.setattr(solver_module, "upward_step",
+                            lambda *a, **k: calls.append((len(a), k)) or step(*a, **k))
+        tree = build_perfect_tree(2, 8)
+        params = random_params(tree, 2, rng=np.random.default_rng(43))
+        u = random_rhs(tree, 2, rng=np.random.default_rng(44))
+        for call in (solve, solve_transpose):
+            calls.clear()
+            call(params, tree, u)
+            assert calls == [(5, {"child_level": l}) for l in range(tree.depth - 1)]
 
     def test_one_instance_on_two_trees_with_equal_level_sizes(self):
         trees = [TreeTopology((4, 2, 1), ((2, 2), (2,))), TreeTopology((4, 2, 1), ((3, 1), (2,)))]
@@ -700,20 +708,17 @@ class TestFactorCache:
             _assert_identical(call(shared, tree, v), want)
 
 
-def _level_loop(params, tree, u):
+def _level_loop(params, tree, u, transposed=False):
     """solve as a plain level loop that hands the steps raw split-size lists."""
-    def level(l):
-        up = l < tree.depth - 1
-        return LevelData(params.A[l], params.B[l] if up else None, params.C[l] if up else None)
-
-    carry, carry_u, hats = level(0), u.levels[0], []
+    A, B, C = transpose_params(params) if transposed else (params.A, params.B, params.C)
+    a, carry_u, hats = A[0], u.levels[0], []
     for l in range(1, tree.depth):
         split = list(tree.split_sizes[l - 1])
-        carry, (b_hat, inv) = upward_step(carry, level(l), split, child_level=l - 1)
+        a, b_hat, inv = upward_step(a, B[l - 1], C[l - 1], A[l], split, child_level=l - 1)
         u_hat = inv @ carry_u
-        carry_u = u.levels[l] - segment_sum(params.C[l - 1] @ u_hat, split, axis=2)
+        carry_u = u.levels[l] - segment_sum(C[l - 1] @ u_hat, split, axis=2)
         hats.append((u_hat, b_hat))
-    xs = [invert_level(carry.A, tree.depth) @ carry_u]
+    xs = [invert_level(a, tree.depth) @ carry_u]
     for l in range(tree.depth - 2, -1, -1):
         xs.insert(0, downward_step(*hats[l], xs[0], list(tree.split_sizes[l])))
     return TreeVector(tuple(xs))
@@ -721,7 +726,7 @@ def _level_loop(params, tree, u):
 
 def _level_loop_vjp(params, tree, x, g):
     """vjp from the level loop, gathering parents by index on every level."""
-    y = _level_loop(transpose_params(params), tree, g)
+    y = _level_loop(params, tree, g, transposed=True)
     outer = lambda a, b: -np.einsum("bhnir,bhnjr->hnij", a, b)
     grad_A = tuple(outer(y_l, x_l) for y_l, x_l in zip(y.levels, x.levels))
     grad_B, grad_C = [], []
@@ -762,7 +767,7 @@ class TestChildGroupPath:
             x = solve(params, tree, u)
             _assert_identical(x, _level_loop(params, tree, u))
             _assert_identical(solve_transpose(params, tree, g),
-                              _level_loop(transpose_params(params), tree, g))
+                              _level_loop(params, tree, g, transposed=True))
             _assert_identical(vjp(params, tree, u, x, g), _level_loop_vjp(params, tree, x, g))
 
     def test_scalar_zero_right_part_with_negative_diagonal(self):
@@ -776,14 +781,14 @@ class TestChildGroupPath:
         for _ in ("miss", "hit"):
             _assert_identical(solve(params, tree, zero), want)
             _assert_identical(solve_transpose(params, tree, zero),
-                              _level_loop(transpose_params(params), tree, zero))
+                              _level_loop(params, tree, zero, transposed=True))
 
     def test_transpose_params_are_read_only_views(self):
         make, d = self.TREES["block-sizes-per-level"]
         params = random_params(make(), d, heads=2, rng=np.random.default_rng(54))
-        views = transpose_params(params)
-        copy = LevelParams(views.A, views.B, views.C)
-        for view, own, copied in zip(views.A + views.B + views.C,
+        A, B, C = transpose_params(params)
+        copy = LevelParams(A, B, C)
+        for view, own, copied in zip(A + B + C,
                                      params.A + params.C + params.B,
                                      copy.A + copy.B + copy.C):
             assert not view.flags.writeable

@@ -256,7 +256,6 @@ class TestPostorder:
 
 def test_splits_accessors():
     tree = build_perfect_tree(3, 9)
-    np.testing.assert_array_equal(tree.splits(0), [3, 3, 3])
     np.testing.assert_array_equal(tree.parent_indices(0), [0, 0, 0, 1, 1, 1, 2, 2, 2])
     np.testing.assert_array_equal(tree.level_offsets(), [0, 9, 12, 13])
 
@@ -275,8 +274,7 @@ def test_child_groups_of_each_level():
     top = _MIXED.child_groups(2)
     assert top.full is None
     np.testing.assert_array_equal(top.starts, [0])
-    # a one-child level stores nothing, but its accessors still give the arrays
-    np.testing.assert_array_equal(_MIXED.splits(1), [1, 1, 1])
+    # a one-child level stores nothing, but its accessor still gives the array
     np.testing.assert_array_equal(_MIXED.parent_indices(1), [0, 1, 2])
     assert all(build_chain(5).child_groups(l) is ONE_CHILD for l in range(4))
 
@@ -307,7 +305,7 @@ def test_child_groups_are_computed_once_and_read_only():
         assert groups.arity is None or type(groups.arity) is int
         # every other field is an array or None
         arrays = [a for f, a in zip(groups._fields, groups) if f != "arity" and a is not None]
-        arrays += [tree.splits(l), tree.parent_indices(l)]
+        arrays.append(tree.parent_indices(l))
         for a in arrays:
             assert not a.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
