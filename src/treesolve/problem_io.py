@@ -72,7 +72,7 @@ def read_problem(path):
         payload = f.read()
     try:
         header = json.loads(header_line.decode("ascii"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
         raise ValueError(f"unreadable problem header: {e}") from None
     if not isinstance(header, dict):
         raise ValueError(f"malformed problem header: expected a JSON object, "

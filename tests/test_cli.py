@@ -141,6 +141,16 @@ class TestVerify:
         assert run.stderr.startswith("error: batch must be an integer")
         assert run.stderr.count("\n") == 1
 
+    def test_deeply_nested_header_is_one_line_error(self, tmp_path):
+        path = tmp_path / "p.bin"
+        path.write_bytes(b"[" * 5000 + b"\n")
+        src = os.path.dirname(os.path.dirname(treesolve.__file__))
+        run = subprocess.run([sys.executable, "-m", "treesolve.cli", "verify", "--in", str(path)],
+                             capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+        assert run.returncode == EXIT_USAGE
+        assert run.stderr.startswith("error: unreadable problem header: ")
+        assert run.stderr.count("\n") == 1
+
     def test_over_dense_cap_is_usage_error(self, tmp_path):
         path = tmp_path / "p.bin"
         assert main(gen_args(path, leaves=16)) == EXIT_OK

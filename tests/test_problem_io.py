@@ -119,6 +119,14 @@ def test_bad_header_rejected(tmp_path):
         read_problem(path)
 
 
+def test_deeply_nested_header_rejected(tmp_path):
+    # json.loads recurses once per bracket and raises RecursionError, not JSONDecodeError
+    path = tmp_path / "nested.bin"
+    path.write_bytes(b"[" * 5000 + b"\n")
+    with pytest.raises(ValueError, match="^unreadable problem header: "):
+        read_problem(path)
+
+
 @pytest.mark.parametrize("version", [True, 1.0, "1"], ids=["bool", "float", "string"])
 def test_format_version_must_be_the_integer(tmp_path, version):
     # true and 1.0 compare equal to 1, but only the integer 1 is version 1

@@ -3,9 +3,9 @@ import re
 import numpy as np
 import pytest
 
-from treesolve import (DenseSystem, LevelParams, SingularBlockError,
+from treesolve import (DenseSystem, LayerConfig, LevelParams, SingularBlockError,
                        TreeTopology, TreeVector, build_chain,
-                       build_perfect_tree, init_random_stable, solve,
+                       build_perfect_tree, forward, init_random_stable, solve,
                        solve_transpose, solve_with_stats, upward_step, vjp)
 from treesolve.linalg import invert_level
 from treesolve.solver import (_block_product, downward_step, downward_sweep, segment_sum,
@@ -26,9 +26,9 @@ class TestUpwardStep:
         assert a_root.reshape(-1)[0] == 2.5
         params = LevelParams((scalar(2), scalar(3)), (scalar(1),), (scalar(1),))
         u = TreeVector((scalar(2)[None], scalar(1)[None]))
-        state = upward_sweep(params, build_chain(2), u)
-        assert state.u_hat[0].reshape(-1)[0] == 1.0
-        assert state.root_rhs.reshape(-1)[0] == 0.0
+        _, (u_hat, root_rhs) = upward_sweep(params, build_chain(2), u)
+        assert u_hat.reshape(-1)[0] == 1.0
+        assert root_rhs.reshape(-1)[0] == 0.0
 
     def test_zero_couplings_pass_through(self):
         rng = np.random.default_rng(0)
@@ -38,10 +38,10 @@ class TestUpwardStep:
         a_root, b_hat, _ = upward_step(a_c, b_c, c_c, a_p, [3], child_level=0)
         np.testing.assert_allclose(a_root, a_p)
         np.testing.assert_array_equal(b_hat, 0)
-        state = upward_sweep(LevelParams((a_c, a_p), (b_c,), (c_c,)),
-                             TreeTopology((3, 1), ((3,),)), TreeVector((u_c, u_p)))
-        np.testing.assert_allclose(state.root_rhs, u_p)
-        np.testing.assert_allclose(state.u_hat[0], np.linalg.solve(a_c, u_c))
+        _, (u_hat, root_rhs) = upward_sweep(LevelParams((a_c, a_p), (b_c,), (c_c,)),
+                                            TreeTopology((3, 1), ((3,),)), TreeVector((u_c, u_p)))
+        np.testing.assert_allclose(root_rhs, u_p)
+        np.testing.assert_allclose(u_hat, np.linalg.solve(a_c, u_c))
 
     def test_two_identical_children_schur(self):
         # k=2 children, A=1, B=C=b: parent diagonal becomes A_p - 2 b^2
@@ -74,7 +74,7 @@ class TestUpwardStep:
 class TestDownwardStep:
     def test_zero_coupling_returns_u_hat(self):
         u_hat = np.arange(6.0).reshape(1, 1, 3, 2, 1)
-        x = downward_step(u_hat, np.zeros((1, 3, 2, 2)), np.ones((1, 1, 1, 2, 1)), [3])
+        x = downward_step(u_hat.copy(), np.zeros((1, 3, 2, 2)), np.ones((1, 1, 1, 2, 1)), [3])
         np.testing.assert_array_equal(x, u_hat)
 
     def test_star_back_substitution(self):
@@ -87,9 +87,10 @@ class TestDownwardStep:
         u_hat = rng.standard_normal((2, 1, 4, 3, 2))
         b_hat = rng.standard_normal((1, 4, 3, 3))
         xp = rng.standard_normal((2, 1, 2, 3, 2))
-        got = downward_step(u_hat, b_hat, xp, [2, 2])
         want = u_hat + b_hat @ np.repeat(xp, [2, 2], axis=2)
+        got = downward_step(u_hat, b_hat, xp, [2, 2])
         np.testing.assert_array_equal(got, want)
+        assert got is u_hat  # the solution overwrites the u_hat buffer
 
 
 class TestBlockProduct:
@@ -353,36 +354,39 @@ class TestTransposeAndVjp:
 
 
 class TestSolveState:
+    """The state the upward sweep hands the downward one: the factor and a list of arrays."""
+
     def test_hat_quantity_invariants(self):
         # recompute the carry diagonals level by level and check that the
-        # retained quantities satisfy b_hat = -carry_A^{-1} B and
+        # handed-over quantities satisfy b_hat = -carry_A^{-1} B and
         # u_hat = carry_A^{-1} u_carry
         rng = np.random.default_rng(13)
         tree = build_perfect_tree(2, 8)
         params = random_params(tree, 2, rng=rng)
         u = random_rhs(tree, 2, rng=rng)
-        state = upward_sweep(params, tree, u)
+        factor, levels = upward_sweep(params, tree, u)
+        assert len(levels) == tree.depth
         carry_A, carry_u = params.A[0], u.levels[0]
         for l in range(tree.depth - 1):
             np.testing.assert_allclose(
-                state.factor.b_hat[l], -np.linalg.solve(carry_A, params.B[l]), atol=1e-12)
+                factor.b_hat[l], -np.linalg.solve(carry_A, params.B[l]), atol=1e-12)
             np.testing.assert_allclose(
-                state.u_hat[l], np.linalg.solve(carry_A, carry_u), atol=1e-12)
+                levels[l], np.linalg.solve(carry_A, carry_u), atol=1e-12)
             split = tree.child_groups(l)
             carry_A = params.A[l + 1] + segment_sum(
-                params.C[l] @ state.factor.b_hat[l], split, axis=1)
+                params.C[l] @ factor.b_hat[l], split, axis=1)
             carry_u = u.levels[l + 1] - segment_sum(
-                params.C[l] @ state.u_hat[l], split, axis=2)
-        np.testing.assert_allclose(np.linalg.inv(state.factor.root_inv), carry_A, atol=1e-12)
-        np.testing.assert_allclose(state.root_rhs, carry_u, atol=1e-12)
+                params.C[l] @ levels[l], split, axis=2)
+        np.testing.assert_allclose(np.linalg.inv(factor.root_inv), carry_A, atol=1e-12)
+        np.testing.assert_allclose(levels[-1], carry_u, atol=1e-12)
 
     def test_root_carry_solves_to_dense_root(self):
         rng = np.random.default_rng(14)
         tree = build_perfect_tree(3, 27)
         params = random_params(tree, 1, rng=rng)
         u = random_rhs(tree, 1, rng=rng)
-        state = upward_sweep(params, tree, u)
-        x_root = state.factor.root_inv @ state.root_rhs
+        factor, levels = upward_sweep(params, tree, u)
+        x_root = factor.root_inv @ levels[-1]
         want = DenseSystem(params, tree).solve(u).levels[-1]
         np.testing.assert_allclose(x_root, want, atol=1e-12)
 
@@ -391,8 +395,12 @@ class TestSolveState:
         tree = build_perfect_tree(2, 16)
         params = random_params(tree, 2, rng=rng)
         u = random_rhs(tree, 2, rng=rng)
-        x = downward_sweep(upward_sweep(params, tree, u), tree)
+        factor, levels = upward_sweep(params, tree, u)
+        u_hats = levels[:-1]
+        x = downward_sweep(factor, levels, tree)
         assert rel_err(x, solve(params, tree, u)) == 0.0
+        # back-substitution wrote each level's solution into its u_hat buffer
+        assert all(x_l is u_hat for x_l, u_hat in zip(x.levels, u_hats))
 
 
 def test_concurrent_solves_share_params():
@@ -804,8 +812,8 @@ class TestChildGroupPath:
         assert np.array_equal(segment_sum(values, [1, 1, 1, 1], axis=2),
                               np.add.reduceat(values, np.arange(4), axis=2))
         u_hat, b_hat = rng.standard_normal((2, 3, 4, 2, 1)), rng.standard_normal((3, 4, 2, 2))
-        assert np.array_equal(downward_step(u_hat, b_hat, values, [1, 1, 1, 1]),
-                              u_hat + b_hat @ np.repeat(values, 1, axis=2))
+        want = u_hat + b_hat @ np.repeat(values, 1, axis=2)
+        assert np.array_equal(downward_step(u_hat.copy(), b_hat, values, [1, 1, 1, 1]), want)
 
     def test_a_factor_cached_on_one_tree_serves_an_equal_tree(self, monkeypatch):
         import treesolve.solver as solver_module
@@ -821,3 +829,49 @@ class TestChildGroupPath:
                             lambda *a, **k: calls.append(1) or step(*a, **k))
         _assert_identical(solve(params, twin, u), want)
         assert calls == [] and len(params._factors) == 1
+
+
+class TestSolvesNeitherWriteNorAlias:
+    """Back-substitution overwrites buffers in place, but only the solve's own fresh ones."""
+
+    TREES = {
+        "root-only": lambda: build_perfect_tree(2, 1),
+        "7-chain": lambda: build_chain(7),
+        "16-leaf-quadtree": lambda: build_perfect_tree(4, 16),
+        "childless": lambda: TreeTopology((5, 3, 3, 1), ((2, 0, 3), (1, 1, 1), (3,))),
+    }
+
+    @pytest.mark.parametrize("r", [1, 2])
+    @pytest.mark.parametrize("name", TREES)
+    def test_inputs_keep_their_bytes_and_outputs_own_their_memory(self, name, r):
+        tree = self.TREES[name]()
+        rng = np.random.default_rng(60)
+        params = random_params(tree, 2, heads=2, rng=rng)
+        u, g = (random_rhs(tree, 2, heads=2, batch=2, right_parts=r, rng=rng) for _ in range(2))
+        leaf = rng.standard_normal((2, tree.level_sizes[0], 2))
+        config = LayerConfig(tree, (2,) * tree.depth, heads=2)
+        x = solve(params, tree, u)
+        calls = {  # each runs twice below; solve_transpose first misses the cache
+            "solve": lambda: solve(params, tree, u),
+            "solve_transpose": lambda: solve_transpose(params, tree, g),
+            "solve_with_stats": lambda: solve_with_stats(params, tree, u)[0],
+            "vjp": lambda: vjp(params, tree, u, x, g),
+            "forward": lambda: forward(config, params, leaf),
+        }
+        inputs = [*u.levels, *g.levels, *x.levels, leaf, *params.A, *params.B, *params.C]
+        saved = [a.copy() for a in inputs]
+        results = {(call, k): _arrays(run()) for call, run in calls.items() for k in range(2)}
+        cached = [a for f in params._factors.values() for part in f for a in _arrays(part)]
+        assert cached
+        for a, b in zip(inputs, saved):
+            _assert_identical(a, b)
+        returned = [(key, a) for key, arrays in results.items() for a in arrays]
+        for i, (key, a) in enumerate(returned):
+            assert not any(np.shares_memory(a, b) for b in inputs + cached), key
+            assert not any(np.shares_memory(a, b) for _, b in returned[i + 1:]), key
+        for call, run in calls.items():  # scribble over its results, then solve again
+            want = [a.copy() for a in results[(call, 0)]]
+            for k in range(2):
+                for a in results[(call, k)]:
+                    a[...] = np.nan
+            _assert_identical(run(), want)
