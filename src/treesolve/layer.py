@@ -46,12 +46,11 @@ class LayerConfig:
             if len(set(self.block_sizes)) > 1:
                 raise ValueError("mean virtual-input policy requires a uniform block size")
             # a node that covers no leaves is, or sits above, a childless non-leaf node
-            for l in range(self.tree.depth - 1):
-                full = self.tree.child_groups(l).full
-                if full is not None:
+            for l, split in enumerate(self.tree.split_sizes):
+                if 0 in split:
                     raise ValueError(
                         f"mean virtual-input policy needs every node to cover a leaf, but "
-                        f"node {int(np.argmin(full)) + 1} of level {l + 2} covers none"
+                        f"node {split.index(0) + 1} of level {l + 2} covers none"
                     )
 
 

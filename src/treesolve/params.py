@@ -216,7 +216,8 @@ class BlockGrads(NamedTuple):
 
 
 def _block_size_list(block_sizes, depth: int) -> list[int]:
-    if np.ndim(block_sizes) == 0:
+    # a list is never one size, and np.ndim would refuse a ragged one like [[1], 1]
+    if not isinstance(block_sizes, (list, tuple)) and np.ndim(block_sizes) == 0:
         sizes = [_integer(block_sizes, "block size")] * depth
     else:
         sizes = [_integer(d, "block size") for d in block_sizes]

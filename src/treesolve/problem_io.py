@@ -95,8 +95,10 @@ def read_problem(path):
             + [(heads, n[l], d[l + 1], d[l]) for l in range(depth - 1)]
             + [(batch, heads, n[l], d[l], r) for l in range(depth)]
         )
-        data = np.frombuffer(payload, dtype=_DTYPE)
         total = sum(math.prod(s) for s in shapes)
+        if len(payload) % 8:  # not a whole number of float64s
+            raise ValueError(f"payload holds {len(payload)} bytes, expected {8 * total}")
+        data = np.frombuffer(payload, dtype=_DTYPE)
         if data.size != total:
             raise ValueError(f"payload holds {data.size} floats, expected {total}")
         tree = _tree_from_header(header["tree"])

@@ -17,9 +17,9 @@ are shared immutably, so concurrent solves are safe.  Each u_hat is read
 once, by its level's back-substitution, which writes the solution into
 that same fresh buffer: the upward pass hands the downward one a plain
 list of arrays, and a solve allocates no separate solution.  With 4 heads
-and batch 8 that lowers a cached solve's tracemalloc peak from 61.5 to
-55.9 MB on a 16384-leaf quadtree with d = 4, and from 2.49 to 1.26 MB on a
-1024-node chain.  The sweeps carry no instrumentation:
+and batch 8, a cached solve's tracemalloc peak is 55.9 MB on a 16384-leaf
+quadtree with d = 4 and 1.26 MB on a 1024-node chain.  The sweeps carry no
+instrumentation:
 :func:`solve_with_stats` computes its operation counters as closed forms
 of the shapes.
 
@@ -50,23 +50,25 @@ BLAS call per block (about 9x faster on a 16384-leaf level).  A one-term
 sum is one rounded product on every ``matmul`` path, so results are the
 same to the bit, signed zeros included.
 
-Index data once per tree.  Each :class:`TreeTopology` instance computes its
-levels' child groups (sizes, ``reduceat`` starts, non-empty mask, parent
-indices and the arity every parent shares, if any) on first use and keeps
-them, so a sweep only reads them.  A level on which every parent has
-exactly one child is the shared marker ``ONE_CHILD`` and costs no index
-work at all: its segment sums are their input, back-substitution uses the
-parent solutions without ``np.repeat``, and :func:`vjp` skips the parent
-gather.  A level on which every parent has the same k children, 2 <= k <=
-8, sums its messages by adding the k slices of a ``(parents, k)`` view, in
-the order ``np.add.reduceat`` adds them (:func:`segment_sum`), 1.7 to 7.6x
-faster than ``reduceat`` on the leaf levels of 16384- and 1024-leaf
-quadtrees; other levels use ``reduceat``.
-:func:`vjp` gathers parent solutions with ``np.repeat``, laid out in memory
-as an index gather would be.  Results are unchanged to the bit.  The data
-costs one shared reference per one-child level (8 KB for a 1024-level
-chain) and, per branching level, 16 bytes per parent and 8 per child
-(262 KB for a 16384-leaf quadtree).
+Index data once per tree.  Each :class:`TreeTopology` instance keeps its
+levels' child groups, each parent's child count and the arity they share,
+if any, from their first use; a reader derives anything else from the
+counts where it reads them.  A level on which every parent has exactly one
+child is the shared marker ``ONE_CHILD`` and costs no index work: its
+segment sums are their input, and back-substitution and :func:`vjp` use the
+parent solutions as they are.  A level on which every parent has the same
+k children, 2 <= k <= 8, sums its messages by adding the k slices of a
+``(parents, k)`` view, in the order ``np.add.reduceat`` adds them
+(:func:`segment_sum`), 1.7 to 7.6x faster than ``reduceat`` on the leaf
+levels of 16384- and 1024-leaf quadtrees; other levels use ``reduceat``.
+:func:`vjp` gathers parent solutions with ``np.repeat``, laid out as an
+index gather would be, straight into each outer product, so it holds one
+gather at a time: with 4 heads and batch 8 its tracemalloc peak is 64.3 MB
+on a 16384-leaf quadtree with d = 4, 39.3 MB with 1024 leaves and d = 16,
+14.0 MB with 16384 leaves and d = 1, and 3.35 MB on a 1024-node chain.
+Results are unchanged to the bit.  The data costs one shared reference per
+one-child level (8 KB for a 1024-level chain) and 8 bytes per parent on a
+branching level (44 KB for a 16384-leaf quadtree).
 """
 
 from typing import NamedTuple
@@ -139,23 +141,27 @@ def segment_sum(values: np.ndarray, sizes, axis: int) -> np.ndarray:
         for p in part[3:]:
             tail += p
         return np.add(part[0], tail, out=tail)
-    sums = np.add.reduceat(values, groups.starts, axis=axis)
-    if groups.full is None:
+    sizes = groups.sizes
+    full = sizes > 0  # reduceat cannot express an empty group
+    sums = np.add.reduceat(values, (np.cumsum(sizes) - sizes)[full], axis=axis)
+    if full.all():
         return sums
     shape = list(values.shape)
-    shape[axis] = len(groups.sizes)
+    shape[axis] = len(sizes)
     out = np.zeros(shape, dtype=sums.dtype)
-    np.moveaxis(out, axis, 0)[groups.full] = np.moveaxis(sums, axis, 0)
+    np.moveaxis(out, axis, 0)[full] = np.moveaxis(sums, axis, 0)
     return out
 
 
 def _gather_parents(v: np.ndarray, groups: ChildGroups) -> np.ndarray:
-    """Each child's parent entry of a right-part-shaped ``v``, like ``v[:, :, groups.parents]``.
+    """Each child's parent entry of a right-part-shaped ``v``; ``v`` itself on ONE_CHILD.
 
-    The node axis is repeated outermost in memory, as the index gather lays
+    The node axis is repeated outermost in memory, as an index gather lays
     it out: :func:`vjp`'s ``einsum`` sums in an order that follows its
     operands' strides, so a C-ordered repeat changes bits when r > 1.
     """
+    if groups is ONE_CHILD:
+        return v
     return np.moveaxis(np.repeat(np.moveaxis(v, 2, 0), groups.sizes, axis=0), 0, 2)
 
 
@@ -323,11 +329,10 @@ def vjp(params: LevelParams, tree: TreeTopology, u: TreeVector, x: TreeVector,
     grad_A, grad_B, grad_C = [], [], []
     for l in range(tree.depth):
         grad_A.append(-np.einsum("bhnir,bhnjr->hnij", y.levels[l], x.levels[l]))
-        if l < tree.depth - 1:
-            x_up, y_up = x.levels[l + 1], y.levels[l + 1]
+        if l < tree.depth - 1:  # each parent gather is freed before the next is made
             groups = tree.child_groups(l)
-            if groups is not ONE_CHILD:  # with one child per parent the gather is the identity
-                x_up, y_up = _gather_parents(x_up, groups), _gather_parents(y_up, groups)
-            grad_B.append(-np.einsum("bhnir,bhnjr->hnij", y.levels[l], x_up))
-            grad_C.append(-np.einsum("bhnir,bhnjr->hnij", y_up, x.levels[l]))
+            grad_B.append(-np.einsum("bhnir,bhnjr->hnij", y.levels[l],
+                                     _gather_parents(x.levels[l + 1], groups)))
+            grad_C.append(-np.einsum("bhnir,bhnjr->hnij",
+                                     _gather_parents(y.levels[l + 1], groups), x.levels[l]))
     return y, BlockGrads(tuple(grad_A), tuple(grad_B), tuple(grad_C))

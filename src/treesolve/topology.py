@@ -73,21 +73,18 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 class ChildGroups(NamedTuple):
-    """Read-only index data of one level's child groups, one group per parent.
+    """Read-only child counts of one level's groups, one group per parent.
 
-    ``sizes`` counts each parent's children and ``parents`` gives each
-    child's parent.  ``starts`` are the ``np.add.reduceat`` offsets of the
-    non-empty groups, and ``full`` marks those groups, or is None when no
-    group is empty.  ``arity`` is the one child count every parent shares,
-    or None when the counts differ.  :data:`ONE_CHILD`, whose fields are all
-    None, stands for every level on which each parent has exactly one child:
-    there all of this is an identity, so nothing is stored.
+    ``sizes`` counts each parent's children, 8 bytes per parent, and
+    ``arity`` is the one child count every parent shares, or None when the
+    counts differ.  Whatever else a reader needs (``reduceat`` offsets, a
+    non-empty mask, parent indices) it derives from ``sizes`` where it reads
+    it.  :data:`ONE_CHILD`, whose fields are both None, stands for every
+    level on which each parent has exactly one child: there all of this is
+    an identity, so nothing is stored.
     """
 
     sizes: Optional[np.ndarray]
-    starts: Optional[np.ndarray]
-    full: Optional[np.ndarray]
-    parents: Optional[np.ndarray]
     arity: Optional[int]
 
     @classmethod
@@ -98,16 +95,12 @@ class ChildGroups(NamedTuple):
         split = tuple(split)  # a tuple is itself, so a chain allocates nothing per level
         if split.count(1) == len(split):
             return ONE_CHILD
-        sizes = np.array(split, dtype=np.int64)
-        full = sizes > 0
         first = int(split[0])
         arity = first if first > 0 and split.count(first) == len(split) else None
-        return cls(_read_only(sizes), _read_only((np.cumsum(sizes) - sizes)[full]),
-                   None if full.all() else _read_only(full),
-                   _read_only(np.repeat(np.arange(len(sizes)), sizes)), arity)
+        return cls(_read_only(np.array(split, dtype=np.int64)), arity)
 
 
-ONE_CHILD = ChildGroups(None, None, None, None, None)
+ONE_CHILD = ChildGroups(None, None)
 
 
 @dataclass(frozen=True)
@@ -179,10 +172,8 @@ class TreeTopology:
 
     def parent_indices(self, child_level: int) -> np.ndarray:
         """Index within level ``child_level + 1`` of each node's parent."""
-        parents = self.child_groups(child_level).parents
-        if parents is None:
-            return _read_only(np.arange(self.level_sizes[child_level]))
-        return parents
+        parents = np.arange(self.level_sizes[child_level + 1])
+        return _read_only(np.repeat(parents, self.split_sizes[child_level]))
 
     def level_offsets(self) -> np.ndarray:
         """Global BFS offset of each level (length depth + 1)."""

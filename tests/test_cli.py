@@ -151,6 +151,22 @@ class TestVerify:
         assert run.stderr.startswith("error: unreadable problem header: ")
         assert run.stderr.count("\n") == 1
 
+    @pytest.mark.parametrize("header, payload, want", [
+        # the header asks for 10 floats, 80 bytes; 83 is not a whole number of floats
+        ('"block_sizes": [1, 1]', bytes(83), "error: payload holds 83 bytes, expected 80\n"),
+        ('"block_sizes": [[1], 1]', bytes(80), "error: block size must be an integer, got [1]\n"),
+    ], ids=["truncated-payload", "ragged-block-sizes"])
+    def test_unshaped_input_is_one_line_error(self, tmp_path, header, payload, want):
+        path = tmp_path / "p.bin"
+        path.write_bytes(b'{"format_version": 1, "tree": {"arity": 2, "leaf_count": 2}, '
+                         + header.encode() + b', "heads": 1, "batch": 1, "right_parts": 1}\n'
+                         + payload)
+        src = os.path.dirname(os.path.dirname(treesolve.__file__))
+        run = subprocess.run([sys.executable, "-m", "treesolve.cli", "verify", "--in", str(path)],
+                             capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+        assert run.returncode == EXIT_USAGE
+        assert run.stderr == want
+
     def test_over_dense_cap_is_usage_error(self, tmp_path):
         path = tmp_path / "p.bin"
         assert main(gen_args(path, leaves=16)) == EXIT_OK

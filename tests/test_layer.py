@@ -232,6 +232,7 @@ _PAIR = build_perfect_tree(2, 2)  # two leaves under one root
     (lambda: LayerConfig(_PAIR, (1, 1), virtual_input="copy"), "virtual-input policy 'copy'"),
     (lambda: LayerConfig(_PAIR, (1, 2), virtual_input="mean"), "requires a uniform block size"),
     (lambda: LayerConfig(_PAIR, (1.5, 1)), "block size must be an integer, got 1.5"),
+    (lambda: LayerConfig(_PAIR, [[1], 1]), "block size must be an integer, got [1]"),
     (lambda: LayerConfig(_PAIR, (1, 1), heads=1.5), "heads must be an integer, got 1.5"),
     (lambda: LayerConfig(_PAIR, (1, 1), top_levels=1.5), "top_levels must be an integer, got 1.5"),
     (lambda: LayerConfig(_PAIR, (0, 1)), "block sizes must be positive, got (0, 1)"),
@@ -241,7 +242,8 @@ _PAIR = build_perfect_tree(2, 2)  # two leaves under one root
     (lambda: build_input(config_for(_PAIR), np.zeros((1, 2, 2))), "leaf vectors have dim 2"),
     (lambda: aggregate_topk(TreeVector((np.zeros((1, 1, 2, 1, 1)), np.zeros((1, 1, 1, 2, 1)))),
                             LayerConfig(_PAIR, (1, 2), top_levels=2)), "mixed block sizes"),
-], ids=["block-size-count", "policy", "mean-mixed-sizes", "float-block-size", "float-heads",
+], ids=["block-size-count", "policy", "mean-mixed-sizes", "float-block-size",
+        "ragged-block-sizes", "float-heads",
         "float-top-levels", "zero-block-size", "negative-block-size", "zero-heads",
         "leaf-count", "leaf-dim", "aggregate-mixed-sizes"])
 def test_config_and_input_errors(call, fragment):

@@ -141,6 +141,15 @@ def test_format_version_must_be_the_integer(tmp_path, version):
         read_problem(path)
 
 
+def test_payload_of_partial_floats_rejected(tmp_path):
+    tree = build_perfect_tree(2, 2)  # 10 floats, 80 bytes
+    path, _ = roundtrip(tmp_path, tree, init_random_stable(tree, 1, seed=0),
+                        random_rhs(tree, 1, rng=np.random.default_rng(6)))
+    path.write_bytes(path.read_bytes() + b"abc")
+    with pytest.raises(ValueError, match="^payload holds 83 bytes, expected 80$"):
+        read_problem(path)
+
+
 def test_write_rejects_right_part_with_other_heads(tmp_path):
     tree = build_perfect_tree(2, 4)
     params = init_random_stable(tree, 1, heads=2, seed=0)
@@ -179,6 +188,7 @@ def _with_header(path, **changes):
     ({"batch": 1e400}, "batch must be an integer, got inf"),
     ({"right_parts": None}, "right_parts must be an integer, got None"),
     ({"block_sizes": [1.7, 1, 1]}, "block size must be an integer, got 1.7"),
+    ({"block_sizes": [[1], 1, 1]}, "block size must be an integer, got [1]"),
     ({"block_sizes": [1, -1, 1]}, "block sizes must be positive, got [1, -1, 1]"),
     ({"tree": {"arity": 2.5, "leaf_count": 4}}, "arity must be an integer, got 2.5"),
     ({"tree": {"level_sizes": [4.0, 2, 1], "split_sizes": [[2, 2], [2]]}},
@@ -187,7 +197,8 @@ def _with_header(path, **changes):
     ({"right_parts": -1}, "right_parts must be positive, got -1"),
     ({"block_sizes": 2}, "malformed problem header: block_sizes must be a list, got 2"),
 ], ids=["block-size-count", "zero-heads", "float-heads", "string-heads", "bool-heads",
-        "infinite-batch", "null-right-parts", "float-block-size", "negative-block-size",
+        "infinite-batch", "null-right-parts", "float-block-size", "ragged-block-sizes",
+        "negative-block-size",
         "float-arity", "float-level-size", "zero-batch", "negative-right-parts",
         "scalar-block-sizes"])
 def test_header_errors(tmp_path, changes, fragment):

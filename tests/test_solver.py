@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -351,6 +352,24 @@ class TestTransposeAndVjp:
             for gv, dv in zip(grads.A + grads.B + grads.C,
                               d_params.A + d_params.B + d_params.C))
         assert abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0) < 1e-12
+
+    def test_vjp_holds_at_most_one_parent_gather(self):
+        # a leaf-level parent gather is one leaf-level right part; the outer
+        # products' temporaries are small next to it, and the factor is cached
+        tree = build_perfect_tree(4, 4 ** 5)
+        rng = np.random.default_rng(13)
+        params = init_random_stable(tree, 2, heads=2, seed=13)
+        u, g = (random_rhs(tree, 2, heads=2, batch=4, rng=rng) for _ in range(2))
+        x = solve(params, tree, u)
+        vjp(params, tree, u, x, g)
+        tracemalloc.start()
+        try:
+            y, grads = vjp(params, tree, u, x, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = sum(a.nbytes for a in y.levels + grads.A + grads.B + grads.C)
+        assert (peak - kept) / u.levels[0].nbytes < 1.5
 
 
 class TestSolveState:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from treesolve import (GridShape, TreeTopology, build_chain, build_perfect_tree,
                        build_quadtree, flatten_image, order_indices)
+from treesolve.solver import segment_sum
 from treesolve.topology import ONE_CHILD, ChildGroups, dfs_postorder_perm
 
 GRID4 = GridShape(4, 4)
@@ -267,13 +268,12 @@ _MIXED = TreeTopology((5, 3, 3, 1), ((2, 0, 3), (1, 1, 1), (3,)))
 def test_child_groups_of_each_level():
     assert [_MIXED.child_groups(l) is ONE_CHILD for l in range(3)] == [False, True, False]
     g = _MIXED.child_groups(0)
+    assert g._fields == ("sizes", "arity")
     np.testing.assert_array_equal(g.sizes, [2, 0, 3])
-    np.testing.assert_array_equal(g.starts, [0, 2])
-    np.testing.assert_array_equal(g.full, [True, False, True])
-    np.testing.assert_array_equal(g.parents, [0, 0, 2, 2, 2])
-    top = _MIXED.child_groups(2)
-    assert top.full is None
-    np.testing.assert_array_equal(top.starts, [0])
+    np.testing.assert_array_equal(_MIXED.parent_indices(0), [0, 0, 2, 2, 2])
+    # the sums derive their offsets and mask from the sizes: the childless parent's is 0
+    np.testing.assert_array_equal(segment_sum(np.arange(1.0, 6.0), g, axis=0), [3.0, 0.0, 12.0])
+    np.testing.assert_array_equal(_MIXED.child_groups(2).sizes, [3])
     # a one-child level stores nothing, but its accessor still gives the array
     np.testing.assert_array_equal(_MIXED.parent_indices(1), [0, 1, 2])
     assert all(build_chain(5).child_groups(l) is ONE_CHILD for l in range(4))
