@@ -243,9 +243,8 @@ _PAIR = build_perfect_tree(2, 2)  # two leaves under one root
     (lambda: aggregate_topk(TreeVector((np.zeros((1, 1, 2, 1, 1)), np.zeros((1, 1, 1, 2, 1)))),
                             LayerConfig(_PAIR, (1, 2), top_levels=2)), "mixed block sizes"),
 ], ids=["block-size-count", "policy", "mean-mixed-sizes", "float-block-size",
-        "ragged-block-sizes", "float-heads",
-        "float-top-levels", "zero-block-size", "negative-block-size", "zero-heads",
-        "leaf-count", "leaf-dim", "aggregate-mixed-sizes"])
+        "ragged-block-sizes", "float-heads", "float-top-levels", "zero-block-size",
+        "negative-block-size", "zero-heads", "leaf-count", "leaf-dim", "aggregate-mixed-sizes"])
 def test_config_and_input_errors(call, fragment):
     with pytest.raises(ValueError, match=re.escape(fragment)):
         call()

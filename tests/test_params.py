@@ -228,8 +228,7 @@ _PAIR = build_perfect_tree(2, 2)  # two leaves under one root
      "right part level 2 contains non-finite entries"),
 ], ids=["heads", "B-shape", "C-shape", "block-size-count", "gauge-levels", "ssm-maps",
         "ssm-interaction", "float-block-size", "float-block-size-list", "ragged-block-sizes",
-        "float-heads",
-        "vector-block-sizes", "vector-heads", "vector-non-finite"])
+        "float-heads", "vector-block-sizes", "vector-heads", "vector-non-finite"])
 def test_shape_errors(call, fragment):
     with pytest.raises(ValueError, match=re.escape(fragment)):
         call()

@@ -198,9 +198,8 @@ def _with_header(path, **changes):
     ({"block_sizes": 2}, "malformed problem header: block_sizes must be a list, got 2"),
 ], ids=["block-size-count", "zero-heads", "float-heads", "string-heads", "bool-heads",
         "infinite-batch", "null-right-parts", "float-block-size", "ragged-block-sizes",
-        "negative-block-size",
-        "float-arity", "float-level-size", "zero-batch", "negative-right-parts",
-        "scalar-block-sizes"])
+        "negative-block-size", "float-arity", "float-level-size", "zero-batch",
+        "negative-right-parts", "scalar-block-sizes"])
 def test_header_errors(tmp_path, changes, fragment):
     tree = build_perfect_tree(2, 4)
     path = tmp_path / "problem.bin"
