@@ -87,7 +87,7 @@ def build_input(config: LayerConfig, leaf_inputs: np.ndarray) -> TreeVector:
         sums = levels[0]
         counts = np.ones(tree.level_sizes[0])
         for l in range(1, tree.depth):
-            split = tree.child_groups(l - 1)
+            split = tree.split_sizes[l - 1]
             sums = segment_sum(sums, split, axis=2)
             counts = segment_sum(counts, split, axis=0)
             levels.append(sums / counts[None, None, :, None, None])

@@ -303,7 +303,7 @@ def ssm_to_chain(interaction: np.ndarray, input_maps: np.ndarray) -> LevelParams
     Given the recurrence x_1 = S_1 u_1, x_k = I_{k-1} x_{k-1} + S_k u_k with
     ``input_maps`` S (L, d, d) and ``interaction`` I (L-1, d, d), the chain
     gets diagonal blocks S_k^{-1}, subdiagonal blocks -S_{k+1}^{-1} I_k and no
-    superdiagonal coupling.  All S_k must be invertible.
+    superdiagonal coupling.  All S_k must be invertible and every entry finite.
     """
     S = np.asarray(input_maps, dtype=np.float64)
     I = np.asarray(interaction, dtype=np.float64)
@@ -312,6 +312,11 @@ def ssm_to_chain(interaction: np.ndarray, input_maps: np.ndarray) -> LevelParams
     L, d = S.shape[0], S.shape[-1]
     if I.shape != (L - 1, d, d) and not (L == 1 and I.size == 0):
         raise ValueError(f"interaction must be ({L - 1}, {d}, {d}), got {I.shape}")
+    for what, m in (("input map", S), ("interaction", I)):
+        bad = np.flatnonzero(~np.isfinite(m))
+        if bad.size:
+            raise ValueError(f"{what} at position {bad[0] // (d * d) + 1} "
+                             "contains non-finite entries")
     try:
         lu, p = lu_factor(S)
     except SingularBlockError as e:

@@ -50,34 +50,34 @@ BLAS call per block (about 9x faster on a 16384-leaf level).  A one-term
 sum is one rounded product on every ``matmul`` path, so results are the
 same to the bit, signed zeros included.
 
-Index data once per tree.  Each :class:`TreeTopology` instance keeps its
-levels' child groups, each parent's child count and the arity they share,
-if any, from their first use; a reader derives anything else from the
-counts where it reads them.  A level on which every parent has exactly one
-child is the shared marker ``ONE_CHILD`` and costs no index work: its
-segment sums are their input, and back-substitution and :func:`vjp` use the
-parent solutions as they are.  A level on which every parent has the same
-k children, 2 <= k <= 8, sums its messages by adding the k slices of a
+Index data from the tree's own counts.  The sweeps read each level's
+child counts per parent straight from ``TreeTopology.split_sizes`` and
+keep nothing between calls; :func:`_arity` finds the count k > 0 that
+every parent of a level shares, if any, in one pass over the counts.  A
+level takes one of three paths.  With one child per parent (k = 1), as on
+every level of a chain, its segment sums are their input, and
+back-substitution and :func:`vjp` use the parent solutions as they are.
+With 2 <= k <= 8 it sums its messages by adding the k slices of a
 ``(parents, k)`` view, in the order ``np.add.reduceat`` adds them
 (:func:`segment_sum`), 1.7 to 7.6x faster than ``reduceat`` on the leaf
-levels of 16384- and 1024-leaf quadtrees; other levels use ``reduceat``.
-:func:`vjp` gathers parent solutions with ``np.repeat``, laid out as an
-index gather would be, straight into each outer product, so it holds one
-gather at a time: with 4 heads and batch 8 its tracemalloc peak is 64.3 MB
-on a 16384-leaf quadtree with d = 4, 39.3 MB with 1024 leaves and d = 16,
-14.0 MB with 16384 leaves and d = 1, and 3.35 MB on a 1024-node chain.
-Results are unchanged to the bit.  The data costs one shared reference per
-one-child level (8 KB for a 1024-level chain) and 8 bytes per parent on a
-branching level (44 KB for a 16384-leaf quadtree).
+levels of 16384- and 1024-leaf quadtrees.  Any other level, with unequal
+or empty groups or k > 8, uses ``reduceat`` on the counts.  Parent
+solutions are repeated with ``np.repeat``, by the scalar k on a level of
+equal groups and by the counts on any other.  :func:`vjp` gathers parent
+solutions that way, laid out as an index gather would be, straight into
+each outer product, so it holds one gather at a time: with 4 heads and
+batch 8 its tracemalloc peak is 64.3 MB on a 16384-leaf quadtree with d =
+4, 39.3 MB with 1024 leaves and d = 16, 14.0 MB with 16384 leaves and d =
+1, and 3.35 MB on a 1024-node chain.  Results are unchanged to the bit.
 """
 
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .linalg import invert_level
 from .params import BlockGrads, LevelParams, TreeVector
-from .topology import ONE_CHILD, ChildGroups, TreeTopology
+from .topology import TreeTopology
 
 __all__ = ["SolveStats", "solve", "solve_with_stats", "solve_transpose", "upward_step", "vjp"]
 
@@ -115,22 +115,29 @@ class SolveStats(NamedTuple):
     aux_floats: int
 
 
-def segment_sum(values: np.ndarray, sizes, axis: int) -> np.ndarray:
-    """Sum contiguous groups of ``sizes`` along ``axis``; empty groups give 0.
+def _arity(split) -> Optional[int]:
+    """The child count k > 0 that every parent in ``split`` has, or None."""
+    split = tuple(split)  # a tuple is itself, so a level's split_sizes entry costs nothing
+    k = split[0]
+    return k if k > 0 and split.count(k) == len(split) else None
 
-    ``sizes`` is a level's :class:`ChildGroups` or its child counts per
-    parent.  With one child per parent the sums are ``values`` itself.
-    Where every parent has the same k children, 2 <= k <= 8, the groups are
-    slices of a ``(parents, k)`` view, added as ``v0 + (((v1 + v2) + v3) +
-    ...)``.  That is the order in which ``np.add.reduceat`` sums a group
-    whose tail after the first entry is shorter than 8, so the bytes are the
-    same, signed zeros included; from 8 on it sums the tail pairwise, so
-    larger or unequal groups use ``reduceat`` itself.
+
+def segment_sum(values: np.ndarray, split, axis: int) -> np.ndarray:
+    """Sum contiguous groups of ``split`` along ``axis``; empty groups give 0.
+
+    ``split`` holds the child counts per parent, as in
+    ``TreeTopology.split_sizes``.  With one child per parent the sums are
+    ``values`` itself.  Where every parent has the same k children, 2 <= k
+    <= 8, the groups are slices of a ``(parents, k)`` view, added as ``v0 +
+    (((v1 + v2) + v3) + ...)``.  That is the order in which
+    ``np.add.reduceat`` sums a group whose tail after the first entry is
+    shorter than 8, so the bytes are the same, signed zeros included; from 8
+    on it sums the tail pairwise, so larger or unequal groups use
+    ``reduceat`` itself.
     """
-    groups = ChildGroups.of(sizes)
-    if groups is ONE_CHILD:
+    k = _arity(split)
+    if k == 1:
         return values
-    k = groups.arity
     if k is not None and k <= 8:
         axis %= values.ndim
         parts = values.reshape(values.shape[:axis] + (-1, k) + values.shape[axis + 1:])
@@ -141,7 +148,7 @@ def segment_sum(values: np.ndarray, sizes, axis: int) -> np.ndarray:
         for p in part[3:]:
             tail += p
         return np.add(part[0], tail, out=tail)
-    sizes = groups.sizes
+    sizes = np.array(split)
     full = sizes > 0  # reduceat cannot express an empty group
     sums = np.add.reduceat(values, (np.cumsum(sizes) - sizes)[full], axis=axis)
     if full.all():
@@ -153,16 +160,17 @@ def segment_sum(values: np.ndarray, sizes, axis: int) -> np.ndarray:
     return out
 
 
-def _gather_parents(v: np.ndarray, groups: ChildGroups) -> np.ndarray:
-    """Each child's parent entry of a right-part-shaped ``v``; ``v`` itself on ONE_CHILD.
+def _gather_parents(v: np.ndarray, split) -> np.ndarray:
+    """Each child's parent entry of a right-part-shaped ``v``; ``v`` itself with one child each.
 
     The node axis is repeated outermost in memory, as an index gather lays
     it out: :func:`vjp`'s ``einsum`` sums in an order that follows its
     operands' strides, so a C-ordered repeat changes bits when r > 1.
     """
-    if groups is ONE_CHILD:
+    k = _arity(split)
+    if k == 1:
         return v
-    return np.moveaxis(np.repeat(np.moveaxis(v, 2, 0), groups.sizes, axis=0), 0, 2)
+    return np.moveaxis(np.repeat(np.moveaxis(v, 2, 0), k or split, axis=0), 0, 2)
 
 
 def _block_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -185,10 +193,11 @@ def upward_step(a: np.ndarray, B: np.ndarray, C: np.ndarray, a_parent: np.ndarra
 
     ``a`` is the child level's carry diagonal (already Schur-updated by the
     levels below), ``B`` and ``C`` its couplings to and from the parents,
-    ``a_parent`` the parents' diagonal, ``split`` the child groups, as for
-    :func:`segment_sum`, and ``child_level`` the child level's 0-based
-    index, for naming a singular block.  Returns the parents' carry diagonal
-    a_parent + sum_children C b_hat, the child's b_hat = -a^{-1} B and a^{-1}.
+    ``a_parent`` the parents' diagonal, ``split`` the child counts per
+    parent, as in ``TreeTopology.split_sizes``, and ``child_level`` the
+    child level's 0-based index, for naming a singular block.  Returns the
+    parents' carry diagonal a_parent + sum_children C b_hat, the child's
+    b_hat = -a^{-1} B and a^{-1}.
     """
     inv = invert_level(a, child_level + 1)
     b_hat = -_block_product(inv, B)
@@ -199,12 +208,12 @@ def downward_step(u_hat: np.ndarray, b_hat: np.ndarray, x_parent: np.ndarray,
                   split) -> np.ndarray:
     """Recover a child level from its parent solutions: x_c = u_hat_c + b_hat_c x_p.
 
-    ``split`` holds the child groups, as for :func:`segment_sum`.  x_c is
-    written into ``u_hat`` and returned, so ``u_hat`` must be a buffer that
-    nothing else reads.
+    ``split`` holds the child counts per parent, as in
+    ``TreeTopology.split_sizes``.  x_c is written into ``u_hat`` and
+    returned, so ``u_hat`` must be a buffer that nothing else reads.
     """
-    groups = ChildGroups.of(split)
-    x_up = x_parent if groups is ONE_CHILD else np.repeat(x_parent, groups.sizes, axis=2)
+    k = _arity(split)
+    x_up = x_parent if k == 1 else np.repeat(x_parent, k or split, axis=2)
     return np.add(u_hat, _block_product(b_hat, x_up), out=u_hat)
 
 
@@ -216,7 +225,7 @@ def _factor(params: LevelParams, tree: TreeTopology, transposed: bool) -> _Facto
     A, B, C = transpose_params(params) if transposed else (params.A, params.B, params.C)
     a, b_hats, invs = A[0], [], []
     for l in range(1, tree.depth):
-        a, b_hat, inv = upward_step(a, B[l - 1], C[l - 1], A[l], tree.child_groups(l - 1),
+        a, b_hat, inv = upward_step(a, B[l - 1], C[l - 1], A[l], tree.split_sizes[l - 1],
                                     child_level=l - 1)
         b_hats.append(b_hat)
         invs.append(inv)
@@ -243,7 +252,7 @@ def upward_sweep(params: LevelParams, tree: TreeTopology, u: TreeVector, *,
     for l in range(1, tree.depth):
         levels[-1] = u_hat = _block_product(factor.inv[l - 1], levels[-1])
         levels.append(u.levels[l] - segment_sum(_block_product(factor.C[l - 1], u_hat),
-                                                tree.child_groups(l - 1), axis=2))
+                                                tree.split_sizes[l - 1], axis=2))
     return factor, levels
 
 
@@ -255,7 +264,7 @@ def downward_sweep(factor: _Factor, levels: list, tree: TreeTopology) -> TreeVec
     """
     levels[-1] = _block_product(factor.root_inv, levels[-1])
     for l in range(tree.depth - 2, -1, -1):
-        levels[l] = downward_step(levels[l], factor.b_hat[l], levels[l + 1], tree.child_groups(l))
+        levels[l] = downward_step(levels[l], factor.b_hat[l], levels[l + 1], tree.split_sizes[l])
     return TreeVector(tuple(levels))
 
 
@@ -330,9 +339,9 @@ def vjp(params: LevelParams, tree: TreeTopology, u: TreeVector, x: TreeVector,
     for l in range(tree.depth):
         grad_A.append(-np.einsum("bhnir,bhnjr->hnij", y.levels[l], x.levels[l]))
         if l < tree.depth - 1:  # each parent gather is freed before the next is made
-            groups = tree.child_groups(l)
+            split = tree.split_sizes[l]
             grad_B.append(-np.einsum("bhnir,bhnjr->hnij", y.levels[l],
-                                     _gather_parents(x.levels[l + 1], groups)))
+                                     _gather_parents(x.levels[l + 1], split)))
             grad_C.append(-np.einsum("bhnir,bhnjr->hnij",
-                                     _gather_parents(y.levels[l + 1], groups), x.levels[l]))
+                                     _gather_parents(y.levels[l + 1], split), x.levels[l]))
     return y, BlockGrads(tuple(grad_A), tuple(grad_B), tuple(grad_C))

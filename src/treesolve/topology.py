@@ -7,15 +7,12 @@ documentation, error messages and file formats.
 
 import operator
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from typing import NamedTuple, Optional
+from functools import lru_cache
 
 import numpy as np
 
 __all__ = [
     "GridShape",
-    "ChildGroups",
-    "ONE_CHILD",
     "TreeTopology",
     "build_perfect_tree",
     "build_quadtree",
@@ -72,37 +69,6 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-class ChildGroups(NamedTuple):
-    """Read-only child counts of one level's groups, one group per parent.
-
-    ``sizes`` counts each parent's children, 8 bytes per parent, and
-    ``arity`` is the one child count every parent shares, or None when the
-    counts differ.  Whatever else a reader needs (``reduceat`` offsets, a
-    non-empty mask, parent indices) it derives from ``sizes`` where it reads
-    it.  :data:`ONE_CHILD`, whose fields are both None, stands for every
-    level on which each parent has exactly one child: there all of this is
-    an identity, so nothing is stored.
-    """
-
-    sizes: Optional[np.ndarray]
-    arity: Optional[int]
-
-    @classmethod
-    def of(cls, split) -> "ChildGroups":
-        """The groups of ``split``, child counts per parent; ChildGroups pass through."""
-        if isinstance(split, ChildGroups):
-            return split
-        split = tuple(split)  # a tuple is itself, so a chain allocates nothing per level
-        if split.count(1) == len(split):
-            return ONE_CHILD
-        first = int(split[0])
-        arity = first if first > 0 and split.count(first) == len(split) else None
-        return cls(_read_only(np.array(split, dtype=np.int64)), arity)
-
-
-ONE_CHILD = ChildGroups(None, None)
-
-
 @dataclass(frozen=True)
 class TreeTopology:
     """A rooted tree as per-level node counts and contiguous child groups.
@@ -117,10 +83,6 @@ class TreeTopology:
         entries sum to ``level_sizes[l]``.  Children of a common parent are
         contiguous by construction; the representation cannot express
         anything else.
-
-    Each level's :class:`ChildGroups` are computed on first use and kept on
-    the instance, outside the fields, so equality, hashing and ``repr`` see
-    only the two tuples above.
     """
 
     level_sizes: tuple[int, ...]
@@ -161,14 +123,6 @@ class TreeTopology:
     @property
     def total_nodes(self) -> int:
         return sum(self.level_sizes)
-
-    @cached_property
-    def _child_groups(self) -> tuple:
-        return tuple(ChildGroups.of(grp) for grp in self.split_sizes)
-
-    def child_groups(self, child_level: int) -> ChildGroups:
-        """Child groups of the parents above 0-based level ``child_level``."""
-        return self._child_groups[child_level]
 
     def parent_indices(self, child_level: int) -> np.ndarray:
         """Index within level ``child_level + 1`` of each node's parent."""
@@ -218,8 +172,8 @@ def build_quadtree(grid: GridShape) -> TreeTopology:
 def build_chain(length: int) -> TreeTopology:
     """Chain of ``length`` nodes: one node per level, leaf at one end, root at the other.
 
-    A tree is immutable, so calls with one length share one instance, with
-    its child groups; a 1024-level chain costs about 2 ms to build and check.
+    A tree is immutable, so calls with one length share one instance; a
+    1024-level chain costs about 2 ms to build and check.
     """
     return _chain(_positive(length, "chain length"))
 

@@ -60,7 +60,7 @@ def jvp(params, tree, u, x, d_params, d_u):
             t = t + d_params.B[l] @ x.levels[l + 1][:, :, parent]
         if l > 0:
             t = t + segment_sum(d_params.C[l - 1] @ x.levels[l - 1],
-                                tree.child_groups(l - 1), axis=2)
+                                tree.split_sizes[l - 1], axis=2)
         levels.append(d_u.levels[l] - t)
     return solve(params, tree, TreeVector(tuple(levels)))
 

@@ -269,7 +269,7 @@ def test_criterion_9_stable_parametrization():
         a = params.A[0]
         for l in range(1, tree.depth):
             a, _, _ = upward_step(a, params.B[l - 1], params.C[l - 1], params.A[l],
-                                  tree.child_groups(l - 1), child_level=l - 1)
+                                  tree.split_sizes[l - 1], child_level=l - 1)
             max_asym = max(max_asym, float(np.max(np.abs(a - a.swapaxes(-1, -2)))))
             min_eig = min(min_eig, float(np.min(np.linalg.eigvalsh(a))))
     ok = max_asym <= 1e-12 and min_eig > 0.0

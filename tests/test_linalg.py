@@ -54,6 +54,11 @@ def test_rejects_non_square():
         lu_factor(np.zeros((2, 3, 4)))
 
 
+def test_rejects_rhs_row_mismatch():
+    with pytest.raises(ValueError, match="^rhs rows 3 do not match block size 2$"):
+        lu_solve(*lu_factor(np.eye(2)[None]), np.ones((1, 3, 1)))
+
+
 @given(st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=1000))
 @settings(max_examples=30, deadline=None)
 def test_random_blocks_property(d, seed):

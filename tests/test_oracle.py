@@ -247,6 +247,15 @@ class TestBidiagonalFactorization:
         np.testing.assert_allclose(x.reshape(-1), np.linalg.solve(m, u.reshape(-1)),
                                    atol=1e-12)
 
+    def test_one_node_chain_solves_its_diagonal(self):
+        rng = np.random.default_rng(9)
+        a = np.eye(3) + 0.3 * rng.uniform(-1, 1, (2, 1, 3, 3))
+        diag, sub, sup = chain_tridiagonal_blocks(LevelParams((a,), (), ()))
+        assert sub.shape == sup.shape == (2, 0, 3, 3)
+        u = rng.standard_normal((2, 1, 3, 2))
+        x = bidiagonal_solve(tridiag_bidiagonal_factor(diag, sub, sup), u)
+        np.testing.assert_allclose(x, np.linalg.solve(a, u), rtol=1e-13, atol=0)
+
     def test_reconstruction_long_chain(self):
         rng = np.random.default_rng(64)
         L = 64
@@ -281,6 +290,19 @@ class TestBidiagonalFactorization:
         np.testing.assert_array_equal(got_diag[0], diag)
         np.testing.assert_array_equal(got_sub[0], sub)
         np.testing.assert_array_equal(got_sup[0], sup)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: chain_tridiagonal_blocks(init_random_stable(build_perfect_tree(2, 2))),
+     "chain blocks need a chain system (one node per level)"),
+    (lambda: chain_tridiagonal_blocks(init_random_stable(build_chain(2), [1, 2])),
+     "uniform block size required, got (1, 2)"),
+    (lambda: chain_inverse_entry(np.ones((2, 2)), 1, 1),
+     "subdiagonal blocks must be (L-1, d, d), got (2, 2)"),
+], ids=["not-a-chain", "mixed-block-sizes", "2d-blocks"])
+def test_chain_helpers_refuse_bad_shapes(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 class TestFiniteDifferences:

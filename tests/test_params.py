@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -200,6 +201,22 @@ def test_singular_second_input_map_names_its_position():
     assert isinstance(info.value.__cause__, SingularBlockError)
 
 
+@pytest.mark.parametrize("what, index, value, message", [
+    ("input", 1, np.inf, "input map at position 2 contains non-finite entries"),
+    ("input", 2, np.nan, "input map at position 3 contains non-finite entries"),
+    ("interaction", 1, np.nan, "interaction at position 2 contains non-finite entries"),
+    ("interaction", 1, np.inf, "interaction at position 2 contains non-finite entries"),
+], ids=["inf-input", "nan-input", "nan-interaction", "inf-interaction"])
+def test_non_finite_ssm_maps_name_their_position(what, index, value, message):
+    S = np.broadcast_to(np.eye(2), (4, 2, 2)).copy()
+    I = np.full((3, 2, 2), 0.5)
+    (S if what == "input" else I)[index, 1, 0] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before any arithmetic, so without a warning
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ssm_to_chain(I, S)
+
+
 _PAIR = build_perfect_tree(2, 2)  # two leaves under one root
 
 
@@ -226,9 +243,18 @@ _PAIR = build_perfect_tree(2, 2)  # two leaves under one root
     (lambda: init_random_stable(_PAIR).check_vector(
         _PAIR, TreeVector((np.zeros((1, 1, 2, 1, 1)), np.full((1, 1, 1, 1, 1), np.inf)))),
      "right part level 2 contains non-finite entries"),
+    (lambda: LevelParams((), (), ()), "need at least one level of A blocks"),
+    (lambda: init_random_stable(_PAIR).validate_for(build_perfect_tree(2, 4)),
+     "parameter node counts (2, 1) do not match tree levels (4, 2, 1)"),
+    (lambda: TreeVector(()), "need at least one level"),
+    (lambda: TreeVector((np.zeros((1, 2, 1, 1)),)),
+     "level 1 must be (batch, heads, nodes, d, r) with positive sizes, got shape (1, 2, 1, 1)"),
+    (lambda: apply_gauge(init_random_stable(_PAIR), _PAIR, [np.ones((1, 2, 1, 1))] * 2),
+     "gauge blocks at level 2 have shape (1, 2, 1, 1), expected (1, 1, 1, 1)"),
 ], ids=["heads", "B-shape", "C-shape", "block-size-count", "gauge-levels", "ssm-maps",
         "ssm-interaction", "float-block-size", "float-block-size-list", "ragged-block-sizes",
-        "float-heads", "vector-block-sizes", "vector-heads", "vector-non-finite"])
+        "float-heads", "vector-block-sizes", "vector-heads", "vector-non-finite", "no-A-levels",
+        "wrong-tree", "no-vector-levels", "4d-vector-level", "gauge-shape"])
 def test_shape_errors(call, fragment):
     with pytest.raises(ValueError, match=re.escape(fragment)):
         call()

@@ -9,8 +9,8 @@ from treesolve import (DenseSystem, LayerConfig, LevelParams, SingularBlockError
                        build_perfect_tree, forward, init_random_stable, solve,
                        solve_transpose, solve_with_stats, upward_step, vjp)
 from treesolve.linalg import invert_level
-from treesolve.solver import (_block_product, downward_step, downward_sweep, segment_sum,
-                              transpose_params, upward_sweep)
+from treesolve.solver import (_block_product, _gather_parents, downward_step, downward_sweep,
+                              segment_sum, transpose_params, upward_sweep)
 from helpers import dot, jvp, perturbation_like, random_params, random_rhs, rel_err
 
 
@@ -391,7 +391,7 @@ class TestSolveState:
                 factor.b_hat[l], -np.linalg.solve(carry_A, params.B[l]), atol=1e-12)
             np.testing.assert_allclose(
                 levels[l], np.linalg.solve(carry_A, carry_u), atol=1e-12)
-            split = tree.child_groups(l)
+            split = tree.split_sizes[l]
             carry_A = params.A[l + 1] + segment_sum(
                 params.C[l] @ factor.b_hat[l], split, axis=1)
             carry_u = u.levels[l + 1] - segment_sum(
@@ -503,8 +503,10 @@ def test_equal_groups_of_up_to_eight_sum_to_reduceats_bytes(case, k):
         assert np.isposinf(got).any()
 
 
-@pytest.mark.parametrize("sizes", [[9] * 3, [16] * 2, [2, 0, 3, 3], [0, 4, 4], [2, 3, 1, 4]],
-                         ids=["9-ary", "16-ary", "childless", "childless-else-equal", "mixed"])
+@pytest.mark.parametrize("sizes", [[9] * 3, [16] * 2, [2, 0, 3, 3], [0, 4, 4], [2, 3, 1, 4],
+                                   [2, 2, 3]],
+                         ids=["9-ary", "16-ary", "childless", "childless-else-equal", "mixed",
+                              "equal-prefix"])
 @pytest.mark.parametrize("case", _CASES)
 def test_other_groups_sum_by_reduceat(case, sizes):
     values, axis = _segment_values(case, sum(sizes), np.random.default_rng(len(sizes)))
@@ -765,7 +767,7 @@ def _level_loop_vjp(params, tree, x, g):
 
 
 class TestChildGroupPath:
-    """The sweeps on a tree's cached child groups equal a level loop on raw size lists."""
+    """The sweeps on a tree's split_sizes tuples equal a level loop on lists and index gathers."""
 
     TREES = {
         "chain": (lambda: build_chain(6), 2),
@@ -830,9 +832,21 @@ class TestChildGroupPath:
         values = rng.standard_normal((2, 3, 4, 2, 1))
         assert np.array_equal(segment_sum(values, [1, 1, 1, 1], axis=2),
                               np.add.reduceat(values, np.arange(4), axis=2))
-        u_hat, b_hat = rng.standard_normal((2, 3, 4, 2, 1)), rng.standard_normal((3, 4, 2, 2))
-        want = u_hat + b_hat @ np.repeat(values, 1, axis=2)
-        assert np.array_equal(downward_step(u_hat.copy(), b_hat, values, [1, 1, 1, 1]), want)
+        # back-substitution and vjp's parent gather against an index gather, on one
+        # child each, equal groups by scalar repeat, and unequal or empty groups
+        x = rng.standard_normal((2, 3, 4, 2, 2))
+        for split in [(1, 1, 1, 1), (2, 2, 2, 2), (3, 0, 1, 4), (9,) * 4]:
+            idx = np.repeat(np.arange(4), split)
+            u_hat = rng.standard_normal((2, 3, len(idx), 2, 2))
+            b_hat = rng.standard_normal((3, len(idx), 2, 2))
+            want = u_hat + b_hat @ x[:, :, idx]
+            _assert_identical(downward_step(u_hat.copy(), b_hat, x, split), want)
+            got, want = _gather_parents(x, split), x[:, :, idx]
+            assert np.array_equal(got, want)
+            if split == (1, 1, 1, 1):
+                assert got is x
+            else:
+                assert got.strides == want.strides
 
     def test_a_factor_cached_on_one_tree_serves_an_equal_tree(self, monkeypatch):
         import treesolve.solver as solver_module

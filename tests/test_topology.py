@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treesolve import (GridShape, TreeTopology, build_chain, build_perfect_tree,
-                       build_quadtree, flatten_image, order_indices)
+from treesolve import (GridShape, LayerConfig, TreeTopology, TreeVector, build_chain,
+                       build_perfect_tree, build_quadtree, flatten_image, forward,
+                       init_random_stable, order_indices, solve, solve_transpose, vjp)
 from treesolve.solver import segment_sum
-from treesolve.topology import ONE_CHILD, ChildGroups, dfs_postorder_perm
+from treesolve.topology import dfs_postorder_perm
 
 GRID4 = GridShape(4, 4)
 
@@ -265,61 +266,55 @@ def test_splits_accessors():
 _MIXED = TreeTopology((5, 3, 3, 1), ((2, 0, 3), (1, 1, 1), (3,)))
 
 
-def test_child_groups_of_each_level():
-    assert [_MIXED.child_groups(l) is ONE_CHILD for l in range(3)] == [False, True, False]
-    g = _MIXED.child_groups(0)
-    assert g._fields == ("sizes", "arity")
-    np.testing.assert_array_equal(g.sizes, [2, 0, 3])
+def test_parent_indices_and_sums_of_each_level():
     np.testing.assert_array_equal(_MIXED.parent_indices(0), [0, 0, 2, 2, 2])
-    # the sums derive their offsets and mask from the sizes: the childless parent's is 0
-    np.testing.assert_array_equal(segment_sum(np.arange(1.0, 6.0), g, axis=0), [3.0, 0.0, 12.0])
-    np.testing.assert_array_equal(_MIXED.child_groups(2).sizes, [3])
-    # a one-child level stores nothing, but its accessor still gives the array
     np.testing.assert_array_equal(_MIXED.parent_indices(1), [0, 1, 2])
-    assert all(build_chain(5).child_groups(l) is ONE_CHILD for l in range(4))
+    np.testing.assert_array_equal(_MIXED.parent_indices(2), [0, 0, 0])
+    # the childless parent's sum is 0, and a one-child level's sums are their input
+    np.testing.assert_array_equal(segment_sum(np.arange(1.0, 6.0), (2, 0, 3), axis=0),
+                                  [3.0, 0.0, 12.0])
+    values = np.arange(3.0)
+    assert segment_sum(values, _MIXED.split_sizes[1], axis=0) is values
 
 
-def test_child_groups_of_size_lists():
-    assert ChildGroups.of([1, 1, 1]) is ONE_CHILD and ChildGroups.of(np.ones(4, int)) is ONE_CHILD
-    g = ChildGroups.of([2, 0, 3])
-    assert ChildGroups.of(g) is g
-    for got, want in zip(g, _MIXED.child_groups(0)):
-        np.testing.assert_array_equal(got, want)
+def test_parent_indices_are_read_only():
+    for l in range(_MIXED.depth - 1):
+        a = _MIXED.parent_indices(l)
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 7
 
 
-def test_child_groups_arity():
-    assert ChildGroups.of([3, 3]).arity == 3
-    assert ChildGroups.of(np.full(4, 9)).arity == 9
-    assert ChildGroups.of([2, 0, 3]).arity is None
-    assert ChildGroups.of([2, 2, 3]).arity is None
-    assert ChildGroups.of([0, 0]).arity is None
-    assert ONE_CHILD.arity is None
-    assert [_MIXED.child_groups(l).arity for l in range(3)] == [None, None, 3]
-
-
-def test_child_groups_are_computed_once_and_read_only():
-    tree = TreeTopology(_MIXED.level_sizes, _MIXED.split_sizes)
-    assert tree.child_groups(0) is tree.child_groups(0)
-    for l in range(tree.depth - 1):
-        groups = tree.child_groups(l)
-        assert groups.arity is None or type(groups.arity) is int
-        # every other field is an array or None
-        arrays = [a for f, a in zip(groups._fields, groups) if f != "arity" and a is not None]
-        arrays.append(tree.parent_indices(l))
-        for a in arrays:
-            assert not a.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                a[0] = 7
-
-
-def test_cached_groups_leave_equality_hash_and_repr_alone():
+def test_a_tree_keeps_no_state_beyond_its_fields():
     used, fresh = (TreeTopology(_MIXED.level_sizes, _MIXED.split_sizes) for _ in range(2))
     before = repr(used)
-    used.child_groups(0)
+    rng = np.random.default_rng(0)
+    params = init_random_stable(used, 2, heads=2, seed=0)
+    u, g = (TreeVector(tuple(rng.standard_normal((1, 2, n, 2, 1)) for n in used.level_sizes))
+            for _ in range(2))
+    x = solve(params, used, u)
+    solve_transpose(params, used, g)
+    vjp(params, used, u, x, g)
+    forward(LayerConfig(used, 2, heads=2), params, rng.standard_normal((1, 5, 2)))
     used.parent_indices(1)
+    assert vars(used).keys() == {"level_sizes", "split_sizes"}
     assert used == fresh and hash(used) == hash(fresh)
     assert repr(used) == repr(fresh) == before
     assert [f.name for f in dataclasses.fields(used)] == ["level_sizes", "split_sizes"]
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: TreeTopology((), ()), "a tree needs at least one level"),
+    (lambda: TreeTopology((2, 1), ()), "expected 1 split lists, got 0"),
+    (lambda: TreeTopology((3, 2, 1), ((3,), (2,))), "level 2 has 2 parents but 1 split entries"),
+    (lambda: TreeTopology((2, 2, 1), ((3, -1), (2,))), "negative child-group size at level 2"),
+    (lambda: order_indices(GRID4, "hilbert"),
+     "unknown order 'hilbert', expected one of ['morton', 'snake']"),
+    (lambda: flatten_image(np.zeros(4)), "image must have at least two (row, column) axes"),
+], ids=["no-levels", "split-count", "parent-count", "negative-split", "order", "image-axes"])
+def test_structure_errors(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 @pytest.mark.parametrize("call, fragment", [
