@@ -110,31 +110,24 @@ class LevelParams:
     def check_vector(self, tree: TreeTopology, v: "TreeVector", what: str = "right part") -> None:
         """Check that ``v`` fits this system on ``tree`` and holds only finite entries.
 
-        One pass compares every level's shape; the messages, first failing
-        check first, are only built when it finds a mismatch.
+        Raises ValueError naming the first failing check, in this order: the
+        parameters against the tree, then ``v``'s depth, heads, node counts
+        and block sizes, then its entries level by level.  ``what`` names
+        ``v`` in the message.
         """
-        heads, sizes = self.heads, tree.level_sizes
-        fits = len(self.A) == len(v.levels) == len(sizes)
-        for a, x, n in zip(self.A, v.levels, sizes) if fits else ():
-            _, n_a, _, d = a.shape
-            _, h, n_x, d_x, _ = x.shape
-            if not (n_a == n == n_x and h == heads and d_x == d):
-                fits = False
-                break
-        if not fits:
-            self.validate_for(tree)
-            if v.depth != tree.depth:
-                raise ValueError(f"{what} has {v.depth} levels, tree has {tree.depth}")
-            if v.heads != heads:
-                raise ValueError(f"{what} heads {v.heads} != parameter heads {heads}")
-            if v.node_counts != sizes:
-                raise ValueError(
-                    f"{what} node counts {v.node_counts} do not match tree {sizes}"
-                )
-            if v.block_sizes != self.block_sizes:
-                raise ValueError(
-                    f"{what} block sizes {v.block_sizes} != parameter blocks {self.block_sizes}"
-                )
+        self.validate_for(tree)
+        if v.depth != tree.depth:
+            raise ValueError(f"{what} has {v.depth} levels, tree has {tree.depth}")
+        if v.heads != self.heads:
+            raise ValueError(f"{what} heads {v.heads} != parameter heads {self.heads}")
+        if v.node_counts != tree.level_sizes:
+            raise ValueError(
+                f"{what} node counts {v.node_counts} do not match tree {tree.level_sizes}"
+            )
+        if v.block_sizes != self.block_sizes:
+            raise ValueError(
+                f"{what} block sizes {v.block_sizes} != parameter blocks {self.block_sizes}"
+            )
         for l, level in enumerate(v.levels):
             if not np.isfinite(level).all():
                 raise ValueError(f"{what} level {l + 1} contains non-finite entries")
@@ -307,8 +300,8 @@ def ssm_to_chain(interaction: np.ndarray, input_maps: np.ndarray) -> LevelParams
     """
     S = np.asarray(input_maps, dtype=np.float64)
     I = np.asarray(interaction, dtype=np.float64)
-    if S.ndim != 3 or S.shape[-1] != S.shape[-2]:
-        raise ValueError(f"input maps must be (L, d, d), got {S.shape}")
+    if S.ndim != 3 or S.shape[-1] != S.shape[-2] or min(S.shape) < 1:
+        raise ValueError(f"input maps must be (L, d, d) with L, d >= 1, got {S.shape}")
     L, d = S.shape[0], S.shape[-1]
     if I.shape != (L - 1, d, d) and not (L == 1 and I.size == 0):
         raise ValueError(f"interaction must be ({L - 1}, {d}, {d}), got {I.shape}")

@@ -8,7 +8,7 @@ from treesolve import (DenseSystem, LevelParams, SingularBlockError, TreeVector,
                        apply_gauge, build_chain, build_perfect_tree,
                        init_random_stable, scale_rhs, solve, ssm_reference,
                        ssm_to_chain)
-from helpers import random_rhs, rel_err
+from helpers import random_rhs, rel_err, with_nan
 
 
 class TestContainers:
@@ -251,10 +251,34 @@ _PAIR = build_perfect_tree(2, 2)  # two leaves under one root
      "level 1 must be (batch, heads, nodes, d, r) with positive sizes, got shape (1, 2, 1, 1)"),
     (lambda: apply_gauge(init_random_stable(_PAIR), _PAIR, [np.ones((1, 2, 1, 1))] * 2),
      "gauge blocks at level 2 have shape (1, 2, 1, 1), expected (1, 1, 1, 1)"),
+    (lambda: ssm_to_chain(np.zeros((0, 2, 2)), np.zeros((0, 2, 2))),
+     "input maps must be (L, d, d)"),
+    (lambda: ssm_to_chain(np.zeros((1, 0, 0)), np.zeros((2, 0, 0))),
+     "input maps must be (L, d, d)"),
+    (lambda: init_random_stable(_PAIR).check_vector(
+        _PAIR, TreeVector((np.zeros((1, 1, 1, 1, 1)), np.zeros((1, 1, 1, 1, 1))))),
+     "right part node counts (1, 1) do not match tree (2, 1)"),
+    # a vector that fails several checks names the first, in the order below
+    (lambda: init_random_stable(_PAIR).check_vector(build_perfect_tree(2, 4),
+                                                    random_rhs(_PAIR, heads=3)),
+     "parameter node counts (2, 1) do not match tree levels (4, 2, 1)"),
+    (lambda: init_random_stable(_PAIR).check_vector(
+        _PAIR, random_rhs(build_perfect_tree(2, 4), heads=3)),
+     "right part has 3 levels, tree has 2"),
+    (lambda: init_random_stable(_PAIR).check_vector(_PAIR, random_rhs(_PAIR, 2, heads=3)),
+     "right part heads 3 != parameter heads 1"),
+    (lambda: init_random_stable(_PAIR).check_vector(
+        _PAIR, TreeVector((np.zeros((1, 1, 1, 2, 1)), np.zeros((1, 1, 1, 2, 1))))),
+     "right part node counts (1, 1) do not match tree (2, 1)"),
+    (lambda: init_random_stable(_PAIR).check_vector(_PAIR, with_nan(random_rhs(_PAIR, 2), 0)),
+     "right part block sizes (2, 2) != parameter blocks (1, 1)"),
 ], ids=["heads", "B-shape", "C-shape", "block-size-count", "gauge-levels", "ssm-maps",
         "ssm-interaction", "float-block-size", "float-block-size-list", "ragged-block-sizes",
         "float-heads", "vector-block-sizes", "vector-heads", "vector-non-finite", "no-A-levels",
-        "wrong-tree", "no-vector-levels", "4d-vector-level", "gauge-shape"])
+        "wrong-tree", "no-vector-levels", "4d-vector-level", "gauge-shape", "ssm-no-maps",
+        "ssm-empty-blocks", "vector-node-counts", "tree-before-vector", "depth-before-heads",
+        "heads-before-block-sizes", "node-counts-before-block-sizes",
+        "block-sizes-before-non-finite"])
 def test_shape_errors(call, fragment):
     with pytest.raises(ValueError, match=re.escape(fragment)):
         call()
