@@ -1,12 +1,9 @@
 """treesolve: direct solves of block tree-structured linear systems.
 
-Systems whose block sparsity follows a rooted tree (each node coupled only
-with its parent) are solved exactly by one leaf-to-root elimination pass and
-one root-to-leaf substitution pass: linear work in the node count and as
-many sequential steps as the tree has levels.  The package bundles the level
-solver, transpose solves and adjoint gradients, chain/state-recurrence
-reductions, quadtree and flattening-order utilities, a dense reference
-oracle, and a problem-file CLI.
+A system whose block sparsity follows a rooted tree (each node coupled only
+with its parent) is solved exactly by one leaf-to-root elimination pass and
+one root-to-leaf substitution pass.  Names not exported here are imported
+from their modules.
 """
 
 from .linalg import SingularBlockError

@@ -1,10 +1,9 @@
 """Sequence-to-sequence view of the tree solve.
 
-Leaf inputs are embedded as the leaf-level right part, virtual (non-leaf)
-nodes get zeros or the mean of the leaves they cover, the system is solved,
-and classification heads can average the top BFS levels of the output.  No
-nonlinearities live here; under the zeros policy the whole layer is linear
-in the leaf inputs.
+Leaf inputs become the leaf level's right part, the other nodes get zeros or
+the mean of the leaves they cover, the system is solved, and the top BFS
+levels of the output can be averaged.  Under the zeros policy the layer is
+linear in the leaf inputs.
 """
 
 from dataclasses import dataclass
@@ -121,9 +120,8 @@ def aggregate_topk(x: TreeVector, config: LayerConfig) -> np.ndarray:
 def bidirectional_chain_forward(params: LevelParams, u: TreeVector) -> TreeVector:
     """Solve a chain system carrying both coupling directions.
 
-    The chain's matrix is block tridiagonal; this is the general tree solve
-    on a chain topology, equivalent to a forward sweep followed by a backward
-    sweep of the two bidiagonal factors.
+    This is the tree solve on a chain; it equals a forward sweep followed by a
+    backward sweep of the block tridiagonal matrix's two bidiagonal factors.
     """
     if any(n != 1 for n in params.node_counts):
         raise ValueError("bidirectional chain forward requires a chain system")

@@ -1,17 +1,11 @@
 """Batched inversion and LU factorization of stacks of small square blocks.
 
-All leading axes index independent blocks.  A block counts as singular when
-partial-pivoted elimination meets a pivot below PIVOT_RTOL times the block's
-largest entry magnitude; :func:`lu_factor` is the reference that decides
-this, with a loop over the (small) block dimension vectorized across the
-stack.
-
-The solver's hot path uses :func:`invert_blocks` instead: one batched LAPACK
-inverse per stack (an elementwise reciprocal for 1x1 blocks) behind a cheap
-screen that proves no pivot can fall under the threshold.  A stack the
-screen cannot clear is handed to :func:`lu_factor`, which raises exactly
-where it always did.  :func:`invert_level` applies it to one tree level and
-names the level, node and head of a singular block.
+All leading axes index independent blocks.  A block is singular when
+partial-pivoted elimination meets a pivot not above PIVOT_RTOL times the
+block's largest entry magnitude, as the reference :func:`lu_factor`
+decides.  :func:`invert_blocks` inverts with batched LAPACK and rejects
+exactly what :func:`lu_factor` rejects, and :func:`invert_level` names the
+level, node and head of a singular block.
 """
 
 import numpy as np
@@ -25,9 +19,8 @@ PIVOT_RTOL = 1e-12
 class SingularBlockError(np.linalg.LinAlgError):
     """A diagonal block has no usable pivot.
 
-    ``block_index`` locates the offending block within the stack's leading
-    axes.  :func:`invert_level` fills in ``level``/``node``/``head`` (all
-    1-based) when the block belongs to a level array.
+    ``block_index`` locates it within the stack's leading axes; :func:`invert_level`
+    fills in its 1-based ``level``, ``node`` and ``head``.
     """
 
     def __init__(self, block_index: tuple, pivot_step: int):
@@ -101,15 +94,12 @@ def lu_solve(lu: np.ndarray, perm: np.ndarray, b: np.ndarray) -> np.ndarray:
 def invert_blocks(a: np.ndarray) -> np.ndarray:
     """Invert a stack of square blocks, rejecting exactly what :func:`lu_factor` rejects.
 
-    Uses one batched LAPACK inverse, or the elementwise reciprocal for 1x1
-    blocks.  Partial pivoting keeps every multiplier at most 1 in magnitude,
-    so every pivot is at least 1 / ||A^-1||_inf.  A stack where every block
-    has ``2 PIVOT_RTOL max|A| ||A^-1||_inf < 1`` (the factor 2 absorbs
-    rounding) therefore has no pivot under ``PIVOT_RTOL max|A|`` and is
-    returned directly.
-    Any other stack, or one LAPACK finds exactly singular, goes through
-    :func:`lu_factor`, which raises :class:`SingularBlockError` with the
-    same ``block_index`` and ``pivot_step`` as always.
+    Uses batched LAPACK, or the reciprocal for 1x1 blocks.  Partial pivoting
+    keeps every pivot at least 1 / ||A^-1||_inf, so a stack whose every block
+    has ``2 PIVOT_RTOL max|A| ||A^-1||_inf < 1`` (the 2 absorbs rounding) has
+    no pivot under ``PIVOT_RTOL max|A|`` and is returned.  Any other stack, or
+    one LAPACK finds singular, goes through :func:`lu_factor`, so a
+    :class:`SingularBlockError` carries its ``block_index`` and ``pivot_step``.
     """
     a = np.asarray(a, dtype=np.float64)
     _check_square_stack(a)

@@ -1,8 +1,7 @@
-"""Independent reference implementations used to certify the level solver.
+"""Independent dense references that certify the level solver.
 
-Everything here is deliberately naive: dense LAPACK factorizations, O(L^3)
-work and O(L^2) memory, guarded to small node counts.  None of it shares
-code with the level solver, so agreement between the two is meaningful.
+Deliberately naive (dense LAPACK, O(L^3) work, O(L^2) memory, capped node
+counts) and sharing no solver code, so agreement between the two is meaningful.
 """
 
 from typing import NamedTuple
@@ -152,9 +151,8 @@ def chain_inverse_entry(sub_blocks: np.ndarray, i: int, j: int) -> np.ndarray:
 class BidiagonalFactors(NamedTuple):
     """T = L U with unit-lower-bidiagonal L and upper-bidiagonal U.
 
-    ``lower_sub[k]`` is L's block at (k+2, k+1) 1-based, ``upper_diag[k]``
-    U's k+1-th diagonal block, ``upper_super`` U's superdiagonal (equal to
-    the original superdiagonal).
+    ``lower_sub[k]`` is L's block at (k+2, k+1), 1-based; ``upper_diag[k]`` U's
+    k+1-th diagonal block; ``upper_super`` U's superdiagonal, T's own.
     """
 
     lower_sub: np.ndarray
@@ -211,11 +209,10 @@ def bidiagonal_solve(factors: BidiagonalFactors, u: np.ndarray) -> np.ndarray:
 
 
 def chain_tridiagonal_blocks(params: LevelParams):
-    """Stack a chain system's blocks as (heads, L, d, d) tridiagonal arrays.
+    """A chain system's blocks as (heads, L, d, d) tridiagonal arrays (diag, sub, sup).
 
-    Requires a chain (one node per level) with a uniform block size; returns
-    (diag, sub, sup): sub[k] sits below the diagonal (the stored C blocks),
-    sup[k] above it (the stored B blocks).
+    sub[k] sits below the diagonal (the stored C blocks), sup[k] above it (the
+    stored B blocks).  Raises ValueError unless the system is a chain of one block size.
     """
     if any(n != 1 for n in params.node_counts):
         raise ValueError("chain blocks need a chain system (one node per level)")

@@ -1,15 +1,13 @@
 """Per-level block parameters and right-hand sides, with parameter transforms.
 
-Shape conventions (0-based level l, D levels, H heads):
+Shapes, for 0-based level l of D and H heads:
 
-* ``A[l]``: (H, n_l, d_l, d_l) diagonal blocks, one per node.
-* ``B[l]``: (H, n_l, d_l, d_{l+1}) for l < D-1; couples the parent's value
-  into the node's own equation (sits in the node's block row).
-* ``C[l]``: (H, n_l, d_{l+1}, d_l) for l < D-1; couples the node's value into
-  its parent's equation (sits in the parent's block row).
-* right parts: (batch, H, n_l, d_l, r) with r simultaneous columns.
+* ``A[l]``: (H, n_l, d_l, d_l) diagonal blocks.
+* ``B[l]``, l < D-1: (H, n_l, d_l, d_{l+1}), the parent's value in the node's block row.
+* ``C[l]``, l < D-1: (H, n_l, d_{l+1}, d_l), the node's value in its parent's block row.
+* right parts: (batch, H, n_l, d_l, r), with r simultaneous columns.
 
-Parameter containers are immutable: all transforms return new values.
+Containers are immutable; transforms return new ones.
 """
 
 from dataclasses import dataclass
@@ -108,12 +106,11 @@ class LevelParams:
             )
 
     def check_vector(self, tree: TreeTopology, v: "TreeVector", what: str = "right part") -> None:
-        """Check that ``v`` fits this system on ``tree`` and holds only finite entries.
+        """Check that ``v``, named ``what``, fits this system on ``tree`` and is finite.
 
-        Raises ValueError naming the first failing check, in this order: the
-        parameters against the tree, then ``v``'s depth, heads, node counts
-        and block sizes, then its entries level by level.  ``what`` names
-        ``v`` in the message.
+        Raises ValueError for the first failing check, in this order: the
+        parameters against the tree, ``v``'s depth, heads, node counts and block
+        sizes, then its entries level by level.
         """
         self.validate_for(tree)
         if v.depth != tree.depth:
@@ -226,11 +223,10 @@ def init_random_stable(tree: TreeTopology, block_sizes=1, heads: int = 1,
     """Identity diagonal with bounded skew couplings: A = I, C = -B^T.
 
     B entries are i.i.d. uniform with magnitude at most
-    ``coupling_scale / (k * d)`` where k is the largest child-group size at
-    the transition and d the larger of the two adjacent block sizes.  With
-    this parametrization every Schur complement met during elimination equals
-    I plus a sum of Gram terms, so it stays symmetric positive definite and
-    the solve cannot hit a degenerate pivot.  Deterministic in ``seed``.
+    ``coupling_scale / (k * d)``, k the largest child group at the transition
+    and d the larger adjacent block size.  Every Schur complement of the
+    elimination is then I plus Gram terms, symmetric positive definite, so no
+    pivot degenerates.  Deterministic in ``seed``.
     """
     if not (np.isfinite(coupling_scale) and coupling_scale >= 0):
         raise ValueError(f"coupling scale must be finite and nonnegative, got {coupling_scale}")
@@ -268,10 +264,9 @@ def apply_gauge(params: LevelParams, tree: TreeTopology, gauge) -> LevelParams:
     """Left-multiply every node's block row by the inverse of its gauge block.
 
     ``gauge`` holds one invertible block per node, shaped like ``params.A``.
-    A_v and B_v live in node v's row; the C blocks stored at v live in the
-    parent's row and are scaled by the parent's gauge.  Solving the rescaled
-    system against :func:`scale_rhs`-rescaled right parts reproduces the
-    original solution exactly.
+    A_v and B_v are scaled by v's gauge, the C blocks stored at v by its
+    parent's.  Solving the result against :func:`scale_rhs`-rescaled right
+    parts reproduces the original solution.
     """
     params.validate_for(tree)
     levels = _as_gauge_levels(gauge, [a.shape for a in params.A])
@@ -293,10 +288,11 @@ def scale_rhs(u: TreeVector, gauge) -> TreeVector:
 def ssm_to_chain(interaction: np.ndarray, input_maps: np.ndarray) -> LevelParams:
     """Chain parameters whose solve reproduces a causal linear state recurrence.
 
-    Given the recurrence x_1 = S_1 u_1, x_k = I_{k-1} x_{k-1} + S_k u_k with
-    ``input_maps`` S (L, d, d) and ``interaction`` I (L-1, d, d), the chain
-    gets diagonal blocks S_k^{-1}, subdiagonal blocks -S_{k+1}^{-1} I_k and no
-    superdiagonal coupling.  All S_k must be invertible and every entry finite.
+    For x_1 = S_1 u_1, x_k = I_{k-1} x_{k-1} + S_k u_k with ``input_maps`` S
+    (L, d, d), L, d >= 1, and ``interaction`` I (L-1, d, d), the chain gets
+    diagonal blocks S_k^{-1}, subdiagonal blocks -S_{k+1}^{-1} I_k and no
+    superdiagonal.  Raises ValueError on other shapes, non-finite entries or a
+    singular S_k.
     """
     S = np.asarray(input_maps, dtype=np.float64)
     I = np.asarray(interaction, dtype=np.float64)

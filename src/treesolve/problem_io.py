@@ -1,14 +1,11 @@
-"""Problem-file serialization.
+"""Problem-file serialization; floats round-trip bit for bit.
 
-Layout: one JSON header line, then a single contiguous little-endian float64
-payload.  The header carries
-``{"format_version", "tree", "block_sizes", "heads", "batch", "right_parts"}``
-where ``tree`` is ``{"arity", "leaf_count"}`` when every split is one
-``arity >= 2`` and ``{"level_sizes", "split_sizes"}`` (leaf level first)
-otherwise.  The payload holds the A arrays for levels 1..D, then B for levels
-1..D-1, then C for levels 1..D-1, then the right parts for levels 1..D, each
-array in C order with the shapes documented in :mod:`treesolve.params`.
-Floats round-trip bit for bit.
+One JSON header line ``{"format_version", "tree", "block_sizes", "heads",
+"batch", "right_parts"}``, where ``tree`` is ``{"arity", "leaf_count"}`` when
+every split is one ``arity >= 2`` and ``{"level_sizes", "split_sizes"}``
+(leaf level first) otherwise, then one little-endian float64 payload: A for
+levels 1..D, then B and C for levels 1..D-1, then the right parts for levels
+1..D, each C-ordered with the shapes of :mod:`treesolve.params`.
 """
 
 import json

@@ -1,74 +1,17 @@
 """Direct solver for block tree-structured systems by level elimination.
 
-The system couples each node only with its parent, so Gaussian elimination
-can sweep whole BFS levels at once: an upward pass folds every child level
-into its parent level via Schur complements, leaving a single root block,
-and a downward pass back-substitutes from the root to the leaves.  With the
-per-level update
+Each node couples only with its parent.  The upward pass folds every child
+level into its parents, leaf to root,
 
-    b_hat_c = -A_c^{-1} B_c          u_hat_c = A_c^{-1} u_c
-    A_p    +=  sum_children C_c b_hat_c
-    u_p    -=  sum_children C_c u_hat_c
+    b_hat_c = -A_c^{-1} B_c              u_hat_c = A_c^{-1} u_c
+    A_p += sum_children C_c b_hat_c      u_p -= sum_children C_c u_hat_c
 
-followed by x_c = u_hat_c + b_hat_c x_parent, the whole solve costs O(total
-nodes) block operations and 2(D-1)+1 sequential level steps for D levels.
-Within a level all (batch, head, node) blocks are independent; parameters
-are shared immutably, so concurrent solves are safe.  Each u_hat is read
-once, by its level's back-substitution, which writes the solution into
-that same fresh buffer: the upward pass hands the downward one a plain
-list of arrays, and a solve allocates no separate solution.  With 4 heads
-and batch 8, a cached solve's tracemalloc peak is 55.9 MB on a 16384-leaf
-quadtree with d = 4 and 1.26 MB on a 1024-node chain.  The sweeps carry no
-instrumentation:
-:func:`solve_with_stats` computes its operation counters as closed forms
-of the shapes.
-
-Factor, then apply.  The inverses, the b_hat blocks and the root's inverse
-depend only on the parameters and the tree, so :func:`_factor` builds them
-once, on the first solve of a :class:`LevelParams` instance on a tree, with
-:func:`upward_step` on every level, and caches them on the instance as one
-read-only factor, keyed by the tree and the direction.  ``upward_step(a, B,
-C, a_parent, split)`` mirrors ``downward_step(u_hat, b_hat, x_parent,
-split)``: both take one level's plain block arrays and its parents', and
-the upward one returns the parents' carry diagonal, b_hat and the inverse.
-A factor also keeps its system's couplings C, so :func:`upward_sweep`'s one
-right-part loop (u_hat and the u_p message) reads nothing else: it is the
-same loop on a first call and on every later one, with bit-identical
-results.  A transpose factor is eliminated from read-only transposed views
-of the parameters (:func:`transpose_params`), so nothing is copied and its
-couplings are views of ``params.B``.  The cache holds, per tree and
-direction, one inverse and one b_hat block per non-root node: 22 MB per
-direction, 45 MB for both, on a 16384-leaf quadtree with 4 heads and d =
-4.  It lives as long as the instance.  Concurrent first calls may each build a factor; they store equal
-ones.  A singular block anywhere, the root included, raises before anything
-is cached, so every call raises it again.
-
-Scalar blocks multiply elementwise.  Every block product goes through
-:func:`_block_product`, which multiplies elementwise where the contracted
-size is 1, as on every level of a layer with d = 1, instead of making one
-BLAS call per block (about 9x faster on a 16384-leaf level).  A one-term
-sum is one rounded product on every ``matmul`` path, so results are the
-same to the bit, signed zeros included.
-
-Index data from the tree's own counts.  The sweeps read each level's
-child counts per parent straight from ``TreeTopology.split_sizes`` and
-keep nothing between calls; :func:`_arity` finds the count k > 0 that
-every parent of a level shares, if any, in one pass over the counts.  A
-level takes one of three paths.  With one child per parent (k = 1), as on
-every level of a chain, its segment sums are their input, and
-back-substitution and :func:`vjp` use the parent solutions as they are.
-With 2 <= k <= 8 it sums its messages by adding the k slices of a
-``(parents, k)`` view, in the order ``np.add.reduceat`` adds them
-(:func:`segment_sum`), 1.7 to 7.6x faster than ``reduceat`` on the leaf
-levels of 16384- and 1024-leaf quadtrees.  Any other level, with unequal
-or empty groups or k > 8, uses ``reduceat`` on the counts.  Parent
-solutions are repeated with ``np.repeat``, by the scalar k on a level of
-equal groups and by the counts on any other.  :func:`vjp` gathers parent
-solutions that way, laid out as an index gather would be, straight into
-each outer product, so it holds one gather at a time: with 4 heads and
-batch 8 its tracemalloc peak is 64.3 MB on a 16384-leaf quadtree with d =
-4, 39.3 MB with 1024 leaves and d = 16, 14.0 MB with 16384 leaves and d =
-1, and 3.35 MB on a 1024-node chain.  Results are unchanged to the bit.
+and the downward pass sets x_c = u_hat_c + b_hat_c x_parent, root to leaf:
+2(D-1)+1 sequential level steps for D levels, each over all (batch, head,
+node) blocks of its level.  The parameter half is built once per
+:class:`LevelParams` instance, tree and direction (:func:`_factor`), and a
+solve eliminates only its right part against it.  Parameters and factors
+are read-only, so concurrent solves are safe.
 """
 
 from typing import NamedTuple, Optional
@@ -83,12 +26,10 @@ __all__ = ["SolveStats", "solve", "solve_with_stats", "solve_transpose", "upward
 
 
 class _Factor(NamedTuple):
-    """The parameter half of one elimination, cached per instance, tree and direction.
+    """The read-only parameter half of one elimination.
 
-    ``inv[l]`` and ``b_hat[l]`` are non-root level l's carry inverse and
-    -inv B, ``C[l]`` the system's coupling of level l into its parent, and
-    ``root_inv`` the inverse of the root's carry diagonal.  A right part is
-    eliminated with these alone.
+    ``inv[l]`` and ``b_hat[l]`` are non-root level l's carry inverse and -inv B,
+    ``C[l]`` its coupling into its parent, ``root_inv`` the root's carry inverse.
     """
 
     inv: tuple
@@ -98,16 +39,12 @@ class _Factor(NamedTuple):
 
 
 class SolveStats(NamedTuple):
-    """Operation counters for one solve, closed forms of the tree's and the blocks' shapes.
+    """Counters of one whole elimination, also when its factor came from the cache.
 
-    level_steps counts sequential phases (each upward step, the root solve,
-    each downward step).  block_ops counts small-block primitives (inverse,
-    multiply), one unit per (batch, head, node) block.
-    aux_floats counts the float64 values that carry from the upward pass to
-    the downward one: every non-root level's b_hat and u_hat blocks (the
-    downward pass then writes the solution into the u_hat buffers).  They
-    count the whole elimination, also on a call whose parameter half came
-    from the cache.
+    level_steps counts sequential phases (upward steps, root solve, downward
+    steps); block_ops counts block inverses and products, one per (batch, head,
+    node) block; aux_floats counts the float64 values of the non-root levels'
+    b_hat and u_hat, which the upward pass hands to the downward one.
     """
 
     level_steps: int
@@ -126,14 +63,11 @@ def segment_sum(values: np.ndarray, split, axis: int) -> np.ndarray:
     """Sum contiguous groups of ``split`` along ``axis``; empty groups give 0.
 
     ``split`` holds the child counts per parent, as in
-    ``TreeTopology.split_sizes``.  With one child per parent the sums are
-    ``values`` itself.  Where every parent has the same k children, 2 <= k
-    <= 8, the groups are slices of a ``(parents, k)`` view, added as ``v0 +
-    (((v1 + v2) + v3) + ...)``.  That is the order in which
-    ``np.add.reduceat`` sums a group whose tail after the first entry is
-    shorter than 8, so the bytes are the same, signed zeros included; from 8
-    on it sums the tail pairwise, so larger or unequal groups use
-    ``reduceat`` itself.
+    ``TreeTopology.split_sizes``.  With one child per parent the result is
+    ``values`` itself.  Otherwise the bits are ``np.add.reduceat``'s, signed
+    zeros included: equal groups of 2 <= k <= 8 add the slices of a
+    ``(parents, k)`` view as ``v0 + (((v1 + v2) + v3) + ...)``, the order
+    ``reduceat`` uses there, and any other level calls ``reduceat``.
     """
     k = _arity(split)
     if k == 1:
@@ -163,9 +97,9 @@ def segment_sum(values: np.ndarray, split, axis: int) -> np.ndarray:
 def _gather_parents(v: np.ndarray, split) -> np.ndarray:
     """Each child's parent entry of a right-part-shaped ``v``; ``v`` itself with one child each.
 
-    The node axis is repeated outermost in memory, as an index gather lays
-    it out: :func:`vjp`'s ``einsum`` sums in an order that follows its
-    operands' strides, so a C-ordered repeat changes bits when r > 1.
+    The node axis is repeated outermost in memory, as an index gather lays it
+    out, because :func:`vjp`'s ``einsum`` sums in an order that follows its
+    operands' strides: a C-ordered repeat changes bits when r > 1.
     """
     k = _arity(split)
     if k == 1:
@@ -174,11 +108,10 @@ def _gather_parents(v: np.ndarray, split) -> np.ndarray:
 
 
 def _block_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` over stacks of blocks; scalar blocks multiply elementwise.
+    """``a @ b`` over stacks of blocks, to the bit; scalar blocks multiply elementwise.
 
-    When the contracted size is 1 the product is one rounded multiplication
-    on every ``matmul`` path, which also starts its sum from +0.0; ``+= 0.0``
-    turns a -0.0 product into +0.0 the same way, so the bytes are equal.
+    With a contracted size of 1, ``matmul`` rounds one product and starts its
+    sum from +0.0; ``+= 0.0`` turns a -0.0 product into +0.0 the same way.
     """
     if a.shape[-1] == 1 == b.shape[-2]:
         out = a * b
@@ -191,13 +124,11 @@ def upward_step(a: np.ndarray, B: np.ndarray, C: np.ndarray, a_parent: np.ndarra
                 child_level: int):
     """Eliminate one child level's parameter blocks into its parent level.
 
-    ``a`` is the child level's carry diagonal (already Schur-updated by the
-    levels below), ``B`` and ``C`` its couplings to and from the parents,
-    ``a_parent`` the parents' diagonal, ``split`` the child counts per
-    parent, as in ``TreeTopology.split_sizes``, and ``child_level`` the
-    child level's 0-based index, for naming a singular block.  Returns the
-    parents' carry diagonal a_parent + sum_children C b_hat, the child's
-    b_hat = -a^{-1} B and a^{-1}.
+    ``a`` is the child level's carry diagonal, ``B`` and ``C`` its couplings to
+    and from the parents, ``a_parent`` the parents' diagonal and ``split`` the
+    child counts per parent.  Returns a_parent + sum_children C b_hat, b_hat =
+    -a^{-1} B and a^{-1}.  A singular block of ``a`` raises
+    :class:`SingularBlockError` naming 1-based level ``child_level + 1``.
     """
     inv = invert_level(a, child_level + 1)
     b_hat = -_block_product(inv, B)
@@ -208,9 +139,8 @@ def downward_step(u_hat: np.ndarray, b_hat: np.ndarray, x_parent: np.ndarray,
                   split) -> np.ndarray:
     """Recover a child level from its parent solutions: x_c = u_hat_c + b_hat_c x_p.
 
-    ``split`` holds the child counts per parent, as in
-    ``TreeTopology.split_sizes``.  x_c is written into ``u_hat`` and
-    returned, so ``u_hat`` must be a buffer that nothing else reads.
+    ``split`` holds the child counts per parent.  x_c is written into ``u_hat``
+    and returned, so ``u_hat`` must be a buffer that nothing else reads.
     """
     k = _arity(split)
     x_up = x_parent if k == 1 else np.repeat(x_parent, k or split, axis=2)
@@ -218,7 +148,12 @@ def downward_step(u_hat: np.ndarray, b_hat: np.ndarray, x_parent: np.ndarray,
 
 
 def _factor(params: LevelParams, tree: TreeTopology, transposed: bool) -> _Factor:
-    """The factor of ``params`` on ``tree`` in one direction; the first call builds it."""
+    """The factor of ``params`` on ``tree`` in one direction; the first call builds it.
+
+    It is cached on ``params``, one per tree and direction, for the instance's
+    lifetime.  A singular block, the root's included, raises before anything is
+    cached.  Concurrent first calls may each build a factor; they store equal ones.
+    """
     factor = params._factors.get((tree, transposed))
     if factor is not None:
         return factor
@@ -240,10 +175,9 @@ def upward_sweep(params: LevelParams, tree: TreeTopology, u: TreeVector, *,
                  transposed: bool = False):
     """Eliminate every level's right part into its parent, leaf to root.
 
-    ``transposed`` selects the transposed system.  The parameter half comes
-    from :func:`_factor`; only the right part is eliminated here.  Returns
-    the factor and a list of each non-root level's u_hat, then the root's
-    carry right part.  Every u_hat is a fresh array; the root entry is
+    Checks ``u`` with :meth:`LevelParams.check_vector`, then returns the factor
+    (transposed if ``transposed``) and a list of every non-root level's u_hat,
+    each a fresh array, then the root's carry right part, which is
     ``u.levels[0]`` itself on a one-level tree.
     """
     params.check_vector(tree, u)
@@ -257,10 +191,9 @@ def upward_sweep(params: LevelParams, tree: TreeTopology, u: TreeVector, *,
 
 
 def downward_sweep(factor: _Factor, levels: list, tree: TreeTopology) -> TreeVector:
-    """Solve the root system and back-substitute down to the leaves.
+    """Solve the root and back-substitute to the leaves, in place of each u_hat.
 
-    ``levels`` is :func:`upward_sweep`'s list; each u_hat in it is
-    overwritten with its level's solution, which is returned.
+    ``levels`` is :func:`upward_sweep`'s list; the solution is returned.
     """
     levels[-1] = _block_product(factor.root_inv, levels[-1])
     for l in range(tree.depth - 2, -1, -1):
@@ -271,22 +204,15 @@ def downward_sweep(factor: _Factor, levels: list, tree: TreeTopology) -> TreeVec
 def solve(params: LevelParams, tree: TreeTopology, u: TreeVector) -> TreeVector:
     """Solve the block tree system for ``u``; returns x shaped like ``u``.
 
-    Raises :class:`SingularBlockError` (naming the 1-based level and node)
-    when a diagonal pivot block degenerates during elimination.
+    Raises ValueError when ``u`` does not fit the system, and
+    :class:`SingularBlockError`, naming the 1-based level and node, when a
+    diagonal pivot block degenerates during elimination.
     """
     return downward_sweep(*upward_sweep(params, tree, u), tree)
 
 
 def solve_with_stats(params: LevelParams, tree: TreeTopology, u: TreeVector):
-    """Like :func:`solve`, also returning operation counters.
-
-    They are closed forms of the shapes.  Each non-root level takes an
-    upward and a downward step: three block ops per parameter block
-    (inverse, b_hat, A message) and per right-part block (u_hat, u message,
-    back-substitution).  The root adds an inverse and a product.  A level
-    l keeps b_hat (d_l x d_{l+1}) and u_hat (d_l x r per batch entry) per
-    node and head.
-    """
+    """Like :func:`solve`, also returning its :class:`SolveStats`."""
     x = solve(params, tree, u)
     n, d = tree.level_sizes, u.block_sizes
     return x, SolveStats(
@@ -300,18 +226,15 @@ def solve_with_stats(params: LevelParams, tree: TreeTopology, u: TreeVector):
 def transpose_params(params: LevelParams) -> tuple:
     """Blocks (A, B, C) of the transposed system: A -> A^T and B/C swap transposed.
 
-    They are read-only views of ``params``'s blocks, laid out as a copy in
-    ``LevelParams`` would be, so results are the same to the bit.
+    They are read-only views laid out as a copy in ``LevelParams`` would be, so
+    solves give the same bits as on a copy.
     """
     return tuple(tuple(m.swapaxes(-1, -2) for m in blocks)
                  for blocks in (params.A, params.C, params.B))
 
 
 def solve_transpose(params: LevelParams, tree: TreeTopology, g: TreeVector) -> TreeVector:
-    """Solve the transposed system for a cotangent-shaped right part g.
-
-    Its factor is cached on ``params`` beside the system's own.
-    """
+    """Solve the transposed system for ``g``; its factor is cached beside the system's own."""
     return downward_sweep(*upward_sweep(params, tree, g, transposed=True), tree)
 
 
@@ -319,14 +242,13 @@ def vjp(params: LevelParams, tree: TreeTopology, u: TreeVector, x: TreeVector,
         g: TreeVector):
     """Pull a cotangent of the solution back onto the right part and every block.
 
-    Given x = solve(params, tree, u) and g = dL/dx, one transpose solve gives
-    y = dL/du; the block cotangents are minus the outer products of y's block
-    row with x's block column, summed over batch and right-part columns:
-    dL/dA_v = -y_v x_v^T, dL/dB_v = -y_v x_{parent}^T, dL/dC_v = -y_{parent} x_v^T.
-    u and x are checked like right parts.  g must match u's batch and right
-    parts; x must match g's right parts, with g's batch or batch 1 (one x
-    shared by every g).
-    Nothing is recomputed beyond the single transpose solve, which checks g.
+    Given x = solve(params, tree, u) and g = dL/dx, returns ``(y, grads)``: one
+    transpose solve gives y = dL/du, and the :class:`BlockGrads` are minus the
+    outer products of y's block row with x's block column, summed over batch
+    and right-part columns: dL/dA_v = -y_v x_v^T, dL/dB_v = -y_v x_{parent}^T,
+    dL/dC_v = -y_{parent} x_v^T.  u, x and g are checked like right parts;
+    ValueError is raised unless g matches u's batch and right parts and x
+    matches g's right parts with g's batch or batch 1.
     """
     params.check_vector(tree, u)
     params.check_vector(tree, x, "solution")

@@ -1,8 +1,7 @@
 """Rooted-tree topologies stored as breadth-first levels, plus grid flattening orders.
 
-Levels are numbered from the leaves: level 1 holds the leaves, level D the
-single root.  Internally everything is 0-based; 1-based numbering is used in
-documentation, error messages and file formats.
+Level 1 holds the leaves and level D the single root.  Code indexes from 0;
+documentation, error messages and file formats count from 1.
 """
 
 import operator
@@ -73,16 +72,10 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 class TreeTopology:
     """A rooted tree as per-level node counts and contiguous child groups.
 
-    Attributes
-    ----------
-    level_sizes : tuple[int, ...]
-        Node count per level, leaves first, root last.  The last entry is 1.
-    split_sizes : tuple[tuple[int, ...], ...]
-        ``split_sizes[l]`` lists, for every parent at level ``l+1`` (0-based),
-        how many children it has at level ``l``, in breadth-first order.  The
-        entries sum to ``level_sizes[l]``.  Children of a common parent are
-        contiguous by construction; the representation cannot express
-        anything else.
+    ``level_sizes`` holds the node count per level, leaves first; the root's,
+    last, is 1.  ``split_sizes[l]`` holds, for every parent at 0-based level
+    ``l + 1`` in breadth-first order, its child count at level ``l``; the counts
+    sum to ``level_sizes[l]``, and a parent's children are contiguous.
     """
 
     level_sizes: tuple[int, ...]
@@ -135,10 +128,9 @@ class TreeTopology:
 
 
 def build_perfect_tree(arity: int, leaf_count: int) -> TreeTopology:
-    """Perfect k-ary tree: ``leaf_count`` must be a power of ``arity``.
+    """Perfect k-ary tree; ``leaf_count = arity**d`` gives sizes ``arity**d, ..., 1``.
 
-    ``leaf_count = arity**d`` gives ``d + 1`` levels with sizes
-    ``arity**d, arity**(d-1), ..., 1``.
+    Raises ValueError unless ``leaf_count`` is a power of ``arity``.
     """
     sizes = _perfect_level_sizes(arity, leaf_count)
     return TreeTopology(sizes, tuple((n // p,) * p for n, p in zip(sizes, sizes[1:])))
@@ -156,11 +148,10 @@ def _perfect_level_sizes(arity: int, leaf_count: int) -> tuple[int, ...]:
 
 
 def build_quadtree(grid: GridShape) -> TreeTopology:
-    """Perfect 4-ary tree over a 2^d x 2^d grid.
+    """Perfect 4-ary tree over a square power-of-two grid, leaves in Morton order.
 
-    Leaf k (1-based, in BFS order) corresponds to the pixel with Morton index
-    k, so aligned 2x2 pixel blocks share a parent, 4x4 blocks a grandparent,
-    and so on.
+    The 0-based leaf k is the pixel of Morton index k + 1, so aligned 2x2 pixel
+    blocks share a parent, 4x4 blocks a grandparent, and so on.
     """
     if not grid.is_pow2_square():
         raise ValueError(
@@ -172,8 +163,7 @@ def build_quadtree(grid: GridShape) -> TreeTopology:
 def build_chain(length: int) -> TreeTopology:
     """Chain of ``length`` nodes: one node per level, leaf at one end, root at the other.
 
-    A tree is immutable, so calls with one length share one instance; a
-    1024-level chain costs about 2 ms to build and check.
+    Calls with one length may return one shared instance.
     """
     return _chain(_positive(length, "chain length"))
 
@@ -220,9 +210,8 @@ def order_indices(grid: GridShape, order: str) -> np.ndarray:
 def flatten_image(image: np.ndarray, order: str = "morton") -> np.ndarray:
     """Reorder an (H, W, ...) pixel array into a (H*W, ...) sequence.
 
-    Position ``k`` of the result holds the pixel whose 1-based order index is
-    ``k + 1``; with ``order="morton"`` this is the leaf order of
-    :func:`build_quadtree`.
+    Position k holds the pixel of 1-based order index k + 1; ``"morton"`` gives
+    the leaf order of :func:`build_quadtree`.
     """
     image = np.asarray(image)
     if image.ndim < 2:
@@ -238,8 +227,7 @@ def dfs_postorder_perm(tree: TreeTopology) -> np.ndarray:
     """Map BFS node index to depth-first post-order position (both 0-based).
 
     Every node is placed after all nodes of its subtree; subtrees are visited
-    in breadth-first child order.  For a chain this is the identity.  Subtree
-    sizes are summed bottom-up and positions handed down, a level at a time.
+    in breadth-first child order.  For a chain this is the identity.
     """
     sizes = [np.ones(tree.level_sizes[0], dtype=np.int64)]
     for l in range(tree.depth - 1):

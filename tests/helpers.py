@@ -1,8 +1,9 @@
 """Shared builders for randomized test instances."""
 
 import numpy as np
+from hypothesis import strategies as st
 
-from treesolve import LevelParams, TreeVector, solve
+from treesolve import LevelParams, TreeTopology, TreeVector, solve
 from treesolve.solver import segment_sum
 
 
@@ -22,6 +23,19 @@ def random_params(tree, block_sizes=1, heads=1, rng=None, coupling=0.3,
             B.append(rng.uniform(-1, 1, (heads, n, d, d_up)) * s)
             C.append(rng.uniform(-1, 1, (heads, n, d_up, d)) * s)
     return LevelParams(tuple(A), tuple(B), tuple(C))
+
+
+@st.composite
+def irregular_trees(draw):
+    """Random trees of depth 1..5 with 0..3 children per parent (childless parents too)."""
+    level_sizes, split_sizes = [1], []
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        groups = draw(st.lists(st.integers(min_value=0, max_value=3),
+                               min_size=level_sizes[0], max_size=level_sizes[0])
+                      .filter(lambda g: sum(g) > 0))
+        split_sizes.insert(0, tuple(groups))
+        level_sizes.insert(0, sum(groups))
+    return TreeTopology(tuple(level_sizes), tuple(split_sizes))
 
 
 def random_rhs(tree, block_sizes=1, heads=1, batch=1, right_parts=1, rng=None):

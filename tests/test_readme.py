@@ -1,5 +1,6 @@
-"""The README's library quick start runs, and uses only the exported names."""
+"""The README's quick start runs on exported names, and its figures come from BENCH files."""
 
+import json
 import re
 from pathlib import Path
 
@@ -27,3 +28,38 @@ def test_quick_start_uses_only_exported_names():
 def test_every_exported_name_resolves():
     missing = [name for name in treesolve.__all__ if not hasattr(treesolve, name)]
     assert not missing
+
+
+FIGURE = re.compile(r"[0-9.]+ ?(MB|ms|µs|KB)|[0-9.]+x (faster|slower)")
+
+
+def test_no_measured_figure_in_the_package():
+    """Measurements live in the BENCH files; a figure in a docstring goes stale."""
+    src = Path(treesolve.__file__).resolve().parent
+    found = [f"{path.name}:{n}: {line.strip()}"
+             for path in sorted(src.glob("*.py"))
+             for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+             if FIGURE.search(line)]
+    assert not found, found
+
+
+ROW = re.compile(r"\| ([\w-]+) \| (\w+) \| ([0-9.]+) \| (\w+) \| `(BENCH_pr\d+\.json)` \|")
+
+
+def _measured_rows():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Measured", 1)[1].split("\n## ", 1)[0]
+    table = [line for line in section.splitlines() if line.startswith("|")][2:]
+    return [ROW.fullmatch(line).groups() for line in table]  # a row in another form fails here
+
+
+def test_measured_table_quotes_its_bench_files():
+    rows = _measured_rows()
+    assert rows
+    for workload, metric, printed, unit, source in rows:
+        path = README.parent / source
+        assert path.is_file(), source
+        entry = json.loads(path.read_text())["trace0"]["change"]["metrics"][f"{workload}/{metric}"]
+        decimals = len(printed.partition(".")[2])
+        assert (f"{entry['value']:.{decimals}f}", entry["unit"]) == (printed, unit), \
+            (workload, metric, source)

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treesolve import (DenseSystem, LayerConfig, LevelParams, SingularBlockError,
                        TreeTopology, TreeVector, build_chain,
@@ -11,7 +13,8 @@ from treesolve import (DenseSystem, LayerConfig, LevelParams, SingularBlockError
 from treesolve.linalg import invert_level
 from treesolve.solver import (_block_product, _gather_parents, downward_step, downward_sweep,
                               segment_sum, transpose_params, upward_sweep)
-from helpers import dot, jvp, perturbation_like, random_params, random_rhs, rel_err
+from helpers import (dot, irregular_trees, jvp, perturbation_like, random_params, random_rhs,
+                     rel_err)
 
 
 def scalar(v):
@@ -287,6 +290,22 @@ class TestTransposeAndVjp:
         want = system.unpack(np.linalg.solve(system.matrix.swapaxes(-1, -2),
                                              system.pack(g)))
         assert rel_err(y, want) < 1e-11
+
+    @given(irregular_trees(), st.sampled_from([1, 2]), st.sampled_from([1, 2]),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_random_irregular_trees_match_the_dense_oracle(self, tree, d, r, seed):
+        # random child counts reach the slice, reduceat and empty-group paths
+        rng = np.random.default_rng(seed)
+        params = random_params(tree, d, heads=2, rng=rng)
+        u, g = (random_rhs(tree, d, heads=2, batch=2, right_parts=r, rng=rng) for _ in range(2))
+        system = DenseSystem(params, tree)
+        x = solve(params, tree, u)
+        assert rel_err(x, system.solve(u)) < 1e-11
+        y = solve_transpose(params, tree, g)
+        want = system.unpack(np.linalg.solve(system.matrix.swapaxes(-1, -2), system.pack(g)))
+        assert rel_err(y, want) < 1e-11
+        _assert_identical(vjp(params, tree, u, x, g)[0], y)
 
     def test_transpose_equals_solve_for_symmetric_system(self):
         rng = np.random.default_rng(10)

@@ -11,6 +11,7 @@ from treesolve import (GridShape, LayerConfig, TreeTopology, TreeVector, build_c
                        init_random_stable, order_indices, solve, solve_transpose, vjp)
 from treesolve.solver import segment_sum
 from treesolve.topology import dfs_postorder_perm
+from helpers import irregular_trees
 
 GRID4 = GridShape(4, 4)
 
@@ -28,19 +29,6 @@ SNAKE_4x4 = [
     [9, 10, 11, 12],
     [16, 15, 14, 13],
 ]
-
-
-@st.composite
-def irregular_trees(draw):
-    """Random trees of depth 1..5 with 0..3 children per parent (childless parents too)."""
-    level_sizes, split_sizes = [1], []
-    for _ in range(draw(st.integers(min_value=0, max_value=4))):
-        groups = draw(st.lists(st.integers(min_value=0, max_value=3),
-                               min_size=level_sizes[0], max_size=level_sizes[0])
-                      .filter(lambda g: sum(g) > 0))
-        split_sizes.insert(0, tuple(groups))
-        level_sizes.insert(0, sum(groups))
-    return TreeTopology(tuple(level_sizes), tuple(split_sizes))
 
 
 class TestBuilders:
