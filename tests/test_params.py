@@ -252,9 +252,9 @@ _PAIR = build_perfect_tree(2, 2)  # two leaves under one root
     (lambda: apply_gauge(init_random_stable(_PAIR), _PAIR, [np.ones((1, 2, 1, 1))] * 2),
      "gauge blocks at level 2 have shape (1, 2, 1, 1), expected (1, 1, 1, 1)"),
     (lambda: ssm_to_chain(np.zeros((0, 2, 2)), np.zeros((0, 2, 2))),
-     "input maps must be (L, d, d)"),
+     "input maps must be (L, d, d) with L, d >= 1, got (0, 2, 2)"),
     (lambda: ssm_to_chain(np.zeros((1, 0, 0)), np.zeros((2, 0, 0))),
-     "input maps must be (L, d, d)"),
+     "input maps must be (L, d, d) with L, d >= 1, got (2, 0, 0)"),
     (lambda: init_random_stable(_PAIR).check_vector(
         _PAIR, TreeVector((np.zeros((1, 1, 1, 1, 1)), np.zeros((1, 1, 1, 1, 1))))),
      "right part node counts (1, 1) do not match tree (2, 1)"),
