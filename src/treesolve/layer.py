@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import LevelParams, TreeVector, _block_size_list
+from .params import LevelParams, TreeVector, _block_size_list, _real
 from .solver import segment_sum, solve
 from .topology import TreeTopology, _integer, _positive, build_chain
 
@@ -59,7 +59,7 @@ def build_input(config: LayerConfig, leaf_inputs: np.ndarray) -> TreeVector:
     The leaf sequence is broadcast over heads with one right-part column;
     virtual levels are filled per the configured policy.
     """
-    leaf = np.asarray(leaf_inputs, dtype=np.float64)
+    leaf = np.asarray(_real(leaf_inputs, "leaf inputs"), dtype=np.float64)
     if leaf.ndim == 2:
         leaf = leaf[None]
     tree = config.tree

@@ -29,8 +29,16 @@ __all__ = [
 ]
 
 
+def _real(a, name) -> np.ndarray:
+    """``a`` as an array, refused if complex: a float64 cast would keep only its real part."""
+    arr = np.asarray(a)
+    if arr.dtype.kind == "c":
+        raise ValueError(f"{name} must be real, got {arr.dtype}")
+    return arr
+
+
 def _frozen_f64(a, name):
-    arr = np.array(a, dtype=np.float64)
+    arr = np.array(_real(a, name), dtype=np.float64)
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
     arr.setflags(write=False)
@@ -130,6 +138,19 @@ class LevelParams:
                 raise ValueError(f"{what} level {l + 1} contains non-finite entries")
 
 
+def _float64_levels(levels):
+    """Yield each level as float64, refusing a complex one as :func:`_real` does.
+
+    A name string is built only for the error, and no second tuple is held:
+    ``downward_sweep`` wraps a 1024-level chain's solution on every solve.
+    """
+    for l, v in enumerate(levels):
+        v = np.asarray(v)
+        if v.dtype.kind == "c":
+            raise ValueError(f"level {l + 1} must be real, got {v.dtype}")
+        yield np.asarray(v, dtype=np.float64)
+
+
 @dataclass(frozen=True)
 class TreeVector:
     """Level-structured stack of per-node vectors (inputs, right parts, solutions).
@@ -141,7 +162,7 @@ class TreeVector:
     levels: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        levels = tuple(np.asarray(v, dtype=np.float64) for v in self.levels)
+        levels = tuple(_float64_levels(self.levels))
         object.__setattr__(self, "levels", levels)
         if not levels:
             raise ValueError("need at least one level")
@@ -249,7 +270,8 @@ def init_random_stable(tree: TreeTopology, block_sizes=1, heads: int = 1,
 
 
 def _as_gauge_levels(gauge, shapes) -> list[np.ndarray]:
-    levels = [np.asarray(g, dtype=np.float64) for g in gauge]
+    levels = [np.asarray(_real(g, f"gauge level {l + 1}"), dtype=np.float64)
+              for l, g in enumerate(gauge)]
     if len(levels) != len(shapes):
         raise ValueError(f"expected {len(shapes)} gauge levels, got {len(levels)}")
     for l, (g, shape) in enumerate(zip(levels, shapes)):
@@ -294,8 +316,8 @@ def ssm_to_chain(interaction: np.ndarray, input_maps: np.ndarray) -> LevelParams
     superdiagonal.  Raises ValueError on other shapes, non-finite entries or a
     singular S_k.
     """
-    S = np.asarray(input_maps, dtype=np.float64)
-    I = np.asarray(interaction, dtype=np.float64)
+    S = np.asarray(_real(input_maps, "input maps"), dtype=np.float64)
+    I = np.asarray(_real(interaction, "interaction"), dtype=np.float64)
     if S.ndim != 3 or S.shape[-1] != S.shape[-2] or min(S.shape) < 1:
         raise ValueError(f"input maps must be (L, d, d) with L, d >= 1, got {S.shape}")
     L, d = S.shape[0], S.shape[-1]

@@ -44,7 +44,8 @@ class SolveStats(NamedTuple):
     level_steps counts sequential phases (upward steps, root solve, downward
     steps); block_ops counts block inverses and products, one per (batch, head,
     node) block; aux_floats counts the float64 values of the non-root levels'
-    b_hat and u_hat, which the upward pass hands to the downward one.
+    b_hat and u_hat, which the upward pass hands to the downward one.  The
+    all-zero lowest levels that :func:`upward_sweep` skips count in full too.
     """
 
     level_steps: int
@@ -139,12 +140,16 @@ def downward_step(u_hat: np.ndarray, b_hat: np.ndarray, x_parent: np.ndarray,
                   split) -> np.ndarray:
     """Recover a child level from its parent solutions: x_c = u_hat_c + b_hat_c x_p.
 
-    ``split`` holds the child counts per parent.  x_c is written into ``u_hat``
-    and returned, so ``u_hat`` must be a buffer that nothing else reads.
+    ``split`` holds the child counts per parent.  x_c is returned; it is written
+    into ``u_hat`` when ``u_hat`` is writeable, so such a ``u_hat`` must be a
+    buffer that nothing else reads.  A read-only ``u_hat``, such as
+    :func:`upward_sweep`'s zero view, is left as it is, and x_c takes the fresh
+    array of b_hat_c x_p; the bits are those of ``u_hat + b_hat_c x_p`` either way.
     """
     k = _arity(split)
     x_up = x_parent if k == 1 else np.repeat(x_parent, k or split, axis=2)
-    return np.add(u_hat, _block_product(b_hat, x_up), out=u_hat)
+    v = _block_product(b_hat, x_up)
+    return np.add(u_hat, v, out=u_hat if u_hat.flags.writeable else v)
 
 
 def _factor(params: LevelParams, tree: TreeTopology, transposed: bool) -> _Factor:
@@ -177,13 +182,23 @@ def upward_sweep(params: LevelParams, tree: TreeTopology, u: TreeVector, *,
 
     Checks ``u`` with :meth:`LevelParams.check_vector`, then returns the factor
     (transposed if ``transposed``) and a list of every non-root level's u_hat,
-    each a fresh array, then the root's carry right part, which is
-    ``u.levels[0]`` itself on a one-level tree.
+    then the root's carry right part.  Elimination starts at the lowest level
+    below the root with a nonzero entry.  Each all-zero level under it, whose
+    u_hat the full pass would make +0.0, holds the read-only zero view
+    ``np.broadcast_to(0.0, level.shape)``; every other u_hat is a fresh array.
+    The carries are bit for bit the full pass's, because a level above only
+    +0.0 messages gets its own right part minus +0.0, which is that right part.
+    The root's carry is ``u.levels[-1]`` itself when no level below the root
+    has a nonzero entry, a one-level tree included.
     """
     params.check_vector(tree, u)
     factor = _factor(params, tree, transposed)
-    levels = [u.levels[0]]
-    for l in range(1, tree.depth):
+    low = 0  # the first entry decides a random level; only a leading 0 reads the rest
+    while low < tree.depth - 1 and not (u.levels[low].flat[0] or u.levels[low].any()):
+        low += 1
+    levels = [np.broadcast_to(0.0, level.shape) for level in u.levels[:low]]
+    levels.append(u.levels[low])
+    for l in range(low + 1, tree.depth):
         levels[-1] = u_hat = _block_product(factor.inv[l - 1], levels[-1])
         levels.append(u.levels[l] - segment_sum(_block_product(factor.C[l - 1], u_hat),
                                                 tree.split_sizes[l - 1], axis=2))
@@ -191,7 +206,7 @@ def upward_sweep(params: LevelParams, tree: TreeTopology, u: TreeVector, *,
 
 
 def downward_sweep(factor: _Factor, levels: list, tree: TreeTopology) -> TreeVector:
-    """Solve the root and back-substitute to the leaves, in place of each u_hat.
+    """Solve the root and back-substitute to the leaves, in place of each writeable u_hat.
 
     ``levels`` is :func:`upward_sweep`'s list; the solution is returned.
     """
