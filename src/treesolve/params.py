@@ -141,8 +141,8 @@ class LevelParams:
 def _float64_levels(levels):
     """Yield each level as float64, refusing a complex one as :func:`_real` does.
 
-    A name string is built only for the error, and no second tuple is held:
-    ``downward_sweep`` wraps a 1024-level chain's solution on every solve.
+    The name string is built only for the error, and no second tuple is held,
+    because every solve wraps its solution here, a deep chain's level by level.
     """
     for l, v in enumerate(levels):
         v = np.asarray(v)

@@ -4,8 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from treesolve import (DenseSystem, LevelParams, SingularBlockError, TreeVector,
-                       apply_gauge, build_chain, build_perfect_tree,
+from treesolve import (DenseSystem, LayerConfig, LevelParams, SingularBlockError, TreeVector,
+                       apply_gauge, build_chain, build_perfect_tree, forward,
                        init_random_stable, scale_rhs, solve, ssm_reference,
                        ssm_to_chain)
 from helpers import random_rhs, rel_err, with_nan
@@ -272,13 +272,55 @@ _PAIR = build_perfect_tree(2, 2)  # two leaves under one root
      "right part node counts (1, 1) do not match tree (2, 1)"),
     (lambda: init_random_stable(_PAIR).check_vector(_PAIR, with_nan(random_rhs(_PAIR, 2), 0)),
      "right part block sizes (2, 2) != parameter blocks (1, 1)"),
+    # a float64 cast would keep only the real part of a complex input
+    (lambda: TreeVector((np.zeros((1, 1, 2, 1, 1)), np.full((1, 1, 1, 1, 1), 1 + 2j))),
+     "level 2 must be real, got complex128"),
+    (lambda: LevelParams((np.ones((1, 2, 1, 1), complex), np.ones((1, 1, 1, 1))),
+                         (np.zeros((1, 2, 1, 1)),), (np.zeros((1, 2, 1, 1)),)),
+     "A[0] must be real, got complex128"),
+    (lambda: LevelParams((np.ones((1, 2, 1, 1)), np.ones((1, 1, 1, 1))),
+                         (np.zeros((1, 2, 1, 1)),), (np.zeros((1, 2, 1, 1), np.complex64),)),
+     "C[0] must be real, got complex64"),
+    (lambda: ssm_to_chain(np.zeros((1, 1, 1)), np.ones((2, 1, 1), complex)),
+     "input maps must be real, got complex128"),
+    (lambda: ssm_to_chain([[[0.5j]]], np.ones((2, 1, 1))), "interaction must be real, got complex128"),
+    (lambda: apply_gauge(init_random_stable(_PAIR), _PAIR,
+                         [np.ones((1, 2, 1, 1)), np.ones((1, 1, 1, 1), complex)]),
+     "gauge level 2 must be real, got complex128"),
+    (lambda: forward(LayerConfig(_PAIR, 1), init_random_stable(_PAIR), np.ones((1, 2, 1), complex)),
+     "leaf inputs must be real, got complex128"),
 ], ids=["heads", "B-shape", "C-shape", "block-size-count", "gauge-levels", "ssm-maps",
         "ssm-interaction", "float-block-size", "float-block-size-list", "ragged-block-sizes",
         "float-heads", "vector-block-sizes", "vector-heads", "vector-non-finite", "no-A-levels",
         "wrong-tree", "no-vector-levels", "4d-vector-level", "gauge-shape", "ssm-no-maps",
         "ssm-empty-blocks", "vector-node-counts", "tree-before-vector", "depth-before-heads",
         "heads-before-block-sizes", "node-counts-before-block-sizes",
-        "block-sizes-before-non-finite"])
+        "block-sizes-before-non-finite", "complex-vector-level", "complex-A", "complex64-C",
+        "complex-ssm-maps", "complex-ssm-interaction", "complex-gauge", "complex-leaf-inputs"])
 def test_shape_errors(call, fragment):
     with pytest.raises(ValueError, match=re.escape(fragment)):
         call()
+
+
+def _assert_same_bytes(got, want):
+    got, want = (getattr(x, "levels", None) or x.A + x.B + x.C for x in (got, want))
+    assert [(a.dtype, a.shape, a.tobytes()) for a in got] == [
+        (a.dtype, a.shape, a.tobytes()) for a in want]
+
+
+def test_real_integer_and_bool_inputs_keep_their_bytes():
+    # the complex check reads only the dtype; every other input casts to float64 as before
+    blocks = {"float": np.array([[[[-0.0]]]]), "int": np.array([[[[3]]]]),
+              "bool": np.array([[[[True]]]]), "list": [[[[2]], [[0.5]]]]}
+    for name, a in blocks.items():
+        want = np.asarray(a, dtype=np.float64)
+        for got in (LevelParams((a, a), (a,), (a,)).A[0],
+                    TreeVector((np.expand_dims(a, -1),) * 2).levels[1][..., 0]):
+            assert got.dtype == np.float64 and got.tobytes() == want.tobytes(), name
+    S = np.array([[[2]], [[4]]])
+    _assert_same_bytes(ssm_to_chain(np.array([[[1]]]), S),
+                       ssm_to_chain(np.ones((1, 1, 1)), S * 1.0))
+    tree = build_chain(2)
+    config, params = LayerConfig(tree, 1), init_random_stable(tree)
+    _assert_same_bytes(forward(config, params, [[[1]], [[True]]]),
+                       forward(config, params, [[[1.0]], [[1.0]]]))
