@@ -10,9 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import LevelParams, TreeVector, _block_size_list, _real
+from .params import LevelParams, TreeVector, _block_size_list
 from .solver import segment_sum, solve
-from .topology import TreeTopology, _integer, _positive, build_chain
+from .topology import TreeTopology, _float64, _integer, _positive, build_chain
 
 __all__ = ["LayerConfig", "build_input", "forward", "aggregate_topk",
            "bidirectional_chain_forward"]
@@ -59,7 +59,7 @@ def build_input(config: LayerConfig, leaf_inputs: np.ndarray) -> TreeVector:
     The leaf sequence is broadcast over heads with one right-part column;
     virtual levels are filled per the configured policy.
     """
-    leaf = np.asarray(_real(leaf_inputs, "leaf inputs"), dtype=np.float64)
+    leaf = _float64(leaf_inputs, "leaf inputs")
     if leaf.ndim == 2:
         leaf = leaf[None]
     tree = config.tree

@@ -10,6 +10,8 @@ level, node and head of a singular block.
 
 import numpy as np
 
+from .topology import _float64
+
 __all__ = ["PIVOT_RTOL", "SingularBlockError", "invert_blocks", "invert_level", "lu_factor",
            "lu_solve"]
 
@@ -52,7 +54,7 @@ def lu_factor(a: np.ndarray):
     Raises :class:`SingularBlockError` on the first block whose pivot is not
     above ``PIVOT_RTOL`` times the block's max absolute entry (so also on NaN).
     """
-    lu = np.array(a, dtype=np.float64)
+    lu = np.array(_float64(a, "blocks"))
     _check_square_stack(lu)
     lead, d = lu.shape[:-2], lu.shape[-1]
     lu = lu.reshape(-1, d, d)  # one flat stack, so block n's row k is lu[n, k]
@@ -101,7 +103,7 @@ def invert_blocks(a: np.ndarray) -> np.ndarray:
     one LAPACK finds singular, goes through :func:`lu_factor`, so a
     :class:`SingularBlockError` carries its ``block_index`` and ``pivot_step``.
     """
-    a = np.asarray(a, dtype=np.float64)
+    a = _float64(a, "blocks")
     _check_square_stack(a)
     # zero, infinite or NaN blocks make inf/NaN here; they fail the screen instead
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

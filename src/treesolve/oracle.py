@@ -4,12 +4,13 @@ Deliberately naive (dense LAPACK, O(L^3) work, O(L^2) memory, capped node
 counts) and sharing no solver code, so agreement between the two is meaningful.
 """
 
+import numbers
 from typing import NamedTuple
 
 import numpy as np
 
 from .params import BlockGrads, LevelParams, TreeVector
-from .topology import TreeTopology, _integer, dfs_postorder_perm
+from .topology import TreeTopology, _float64, _integer, dfs_postorder_perm
 
 __all__ = [
     "MAX_DENSE_NODES",
@@ -111,9 +112,9 @@ def ssm_reference(interaction: np.ndarray, input_maps: np.ndarray,
 
     ``input_maps`` S: (L, d, d), ``interaction`` I: (L-1, d, d), u: (L, d, r).
     """
-    S = np.asarray(input_maps, dtype=np.float64)
-    I = np.asarray(interaction, dtype=np.float64)
-    u = np.asarray(u, dtype=np.float64)
+    S = _float64(input_maps, "input maps")
+    I = _float64(interaction, "interaction")
+    u = _float64(u, "right part")
     L = S.shape[0]
     x = np.empty_like(u)
     x[0] = S[0] @ u[0]
@@ -130,7 +131,7 @@ def chain_inverse_entry(sub_blocks: np.ndarray, i: int, j: int) -> np.ndarray:
     diagonal, zero above, and alternating-sign products
     (-1)^(i-j) C_i C_{i-1} ... C_{j+1} below.
     """
-    sub = np.asarray(sub_blocks, dtype=np.float64)
+    sub = _float64(sub_blocks, "subdiagonal blocks")
     if sub.ndim != 3 or sub.shape[-1] != sub.shape[-2]:
         raise ValueError(f"subdiagonal blocks must be (L-1, d, d), got {sub.shape}")
     length = sub.shape[0] + 1
@@ -169,9 +170,9 @@ def tridiag_bidiagonal_factor(diag: np.ndarray, sub: np.ndarray,
     nonsingular; a vanishing minor raises ValueError naming the 1-based
     blocking index.
     """
-    diag = np.asarray(diag, dtype=np.float64)
-    sub = np.asarray(sub, dtype=np.float64)
-    sup = np.asarray(sup, dtype=np.float64)
+    diag = _float64(diag, "diagonal blocks")
+    sub = _float64(sub, "subdiagonal blocks")
+    sup = _float64(sup, "superdiagonal blocks")
     L = diag.shape[-3]
     u_diag = np.empty_like(diag)
     l_sub = np.empty_like(sub)
@@ -194,7 +195,7 @@ def tridiag_bidiagonal_factor(diag: np.ndarray, sub: np.ndarray,
 def bidiagonal_solve(factors: BidiagonalFactors, u: np.ndarray) -> np.ndarray:
     """Solve T x = u by a forward sweep on L and a backward sweep on U."""
     l_sub, u_diag, u_sup = factors
-    u = np.asarray(u, dtype=np.float64)
+    u = _float64(u, "right part")
     L = u_diag.shape[-3]
     y = np.empty_like(u)
     y[..., 0, :, :] = u[..., 0, :, :]
@@ -237,7 +238,7 @@ def finite_diff_grad(params: LevelParams, tree: TreeTopology, u: TreeVector,
     cost grows quadratically with the entry count; intended for small trees.
     Returns (grad_u, BlockGrads).
     """
-    if not (np.isfinite(eps) and eps > 0):
+    if not (isinstance(eps, numbers.Real) and np.isfinite(eps) and eps > 0):
         raise ValueError(f"step must be positive and finite, got {eps}")
     D = params.depth
 

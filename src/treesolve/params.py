@@ -10,13 +10,14 @@ Shapes, for 0-based level l of D and H heads:
 Containers are immutable; transforms return new ones.
 """
 
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .linalg import SingularBlockError, invert_level, lu_factor, lu_solve
-from .topology import TreeTopology, _integer, _positive
+from .topology import TreeTopology, _float64, _integer, _positive
 
 __all__ = [
     "LevelParams",
@@ -29,16 +30,8 @@ __all__ = [
 ]
 
 
-def _real(a, name) -> np.ndarray:
-    """``a`` as an array, refused if complex: a float64 cast would keep only its real part."""
-    arr = np.asarray(a)
-    if arr.dtype.kind == "c":
-        raise ValueError(f"{name} must be real, got {arr.dtype}")
-    return arr
-
-
 def _frozen_f64(a, name):
-    arr = np.array(_real(a, name), dtype=np.float64)
+    arr = np.array(_float64(a, name))
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
     arr.setflags(write=False)
@@ -138,19 +131,6 @@ class LevelParams:
                 raise ValueError(f"{what} level {l + 1} contains non-finite entries")
 
 
-def _float64_levels(levels):
-    """Yield each level as float64, refusing a complex one as :func:`_real` does.
-
-    The name string is built only for the error, and no second tuple is held,
-    because every solve wraps its solution here, a deep chain's level by level.
-    """
-    for l, v in enumerate(levels):
-        v = np.asarray(v)
-        if v.dtype.kind == "c":
-            raise ValueError(f"level {l + 1} must be real, got {v.dtype}")
-        yield np.asarray(v, dtype=np.float64)
-
-
 @dataclass(frozen=True)
 class TreeVector:
     """Level-structured stack of per-node vectors (inputs, right parts, solutions).
@@ -162,7 +142,7 @@ class TreeVector:
     levels: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        levels = tuple(_float64_levels(self.levels))
+        levels = tuple(_float64(v, f"level {l + 1}") for l, v in enumerate(self.levels))
         object.__setattr__(self, "levels", levels)
         if not levels:
             raise ValueError("need at least one level")
@@ -247,13 +227,15 @@ def init_random_stable(tree: TreeTopology, block_sizes=1, heads: int = 1,
     ``coupling_scale / (k * d)``, k the largest child group at the transition
     and d the larger adjacent block size.  Every Schur complement of the
     elimination is then I plus Gram terms, symmetric positive definite, so no
-    pivot degenerates.  Deterministic in ``seed``.
+    pivot degenerates.  Deterministic in the integer ``seed``; a ``coupling_scale``
+    that is not a finite nonnegative real number is a ValueError.
     """
-    if not (np.isfinite(coupling_scale) and coupling_scale >= 0):
+    if not (isinstance(coupling_scale, numbers.Real) and np.isfinite(coupling_scale)
+            and coupling_scale >= 0):
         raise ValueError(f"coupling scale must be finite and nonnegative, got {coupling_scale}")
     heads = _positive(heads, "heads")
     sizes = _block_size_list(block_sizes, tree.depth)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_integer(seed, "seed"))
     A = tuple(
         np.broadcast_to(np.eye(d), (heads, n, d, d)).copy()
         for n, d in zip(tree.level_sizes, sizes)
@@ -270,8 +252,7 @@ def init_random_stable(tree: TreeTopology, block_sizes=1, heads: int = 1,
 
 
 def _as_gauge_levels(gauge, shapes) -> list[np.ndarray]:
-    levels = [np.asarray(_real(g, f"gauge level {l + 1}"), dtype=np.float64)
-              for l, g in enumerate(gauge)]
+    levels = [_float64(g, f"gauge level {l + 1}") for l, g in enumerate(gauge)]
     if len(levels) != len(shapes):
         raise ValueError(f"expected {len(shapes)} gauge levels, got {len(levels)}")
     for l, (g, shape) in enumerate(zip(levels, shapes)):
@@ -316,8 +297,8 @@ def ssm_to_chain(interaction: np.ndarray, input_maps: np.ndarray) -> LevelParams
     superdiagonal.  Raises ValueError on other shapes, non-finite entries or a
     singular S_k.
     """
-    S = np.asarray(_real(input_maps, "input maps"), dtype=np.float64)
-    I = np.asarray(_real(interaction, "interaction"), dtype=np.float64)
+    S = _float64(input_maps, "input maps")
+    I = _float64(interaction, "interaction")
     if S.ndim != 3 or S.shape[-1] != S.shape[-2] or min(S.shape) < 1:
         raise ValueError(f"input maps must be (L, d, d) with L, d >= 1, got {S.shape}")
     L, d = S.shape[0], S.shape[-1]

@@ -1,7 +1,9 @@
 """Rooted-tree topologies stored as breadth-first levels, plus grid flattening orders.
 
 Level 1 holds the leaves and level D the single root.  Code indexes from 0;
-documentation, error messages and file formats count from 1.
+documentation, error messages and file formats count from 1.  The package's
+input rules live here too: :func:`_integer` and :func:`_positive` for counts,
+:func:`_float64` for arrays.
 """
 
 import operator
@@ -42,6 +44,14 @@ def _positive(value, what: str) -> int:
     if value < 1:
         raise ValueError(f"{what} must be positive, got {value}")
     return value
+
+
+def _float64(a, what: str) -> np.ndarray:
+    """``a`` as a float64 array; a complex ``a`` is a ValueError, not cut to its real part."""
+    arr = np.asarray(a)
+    if arr.dtype.kind == "c":
+        raise ValueError(f"{what} must be real, got {arr.dtype}")
+    return np.asarray(arr, dtype=np.float64)
 
 
 @dataclass(frozen=True)

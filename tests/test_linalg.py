@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treesolve import SingularBlockError
-from treesolve.linalg import PIVOT_RTOL, invert_blocks, lu_factor, lu_solve
+from treesolve.linalg import PIVOT_RTOL, invert_blocks, invert_level, lu_factor, lu_solve
+from treesolve.solver import upward_step
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 5])
@@ -52,6 +53,22 @@ def test_near_singular_rejected_by_pivot_tolerance():
 def test_rejects_non_square():
     with pytest.raises(ValueError):
         lu_factor(np.zeros((2, 3, 4)))
+
+
+_COMPLEX = np.ones((1, 2, 1, 1), complex)
+_ONES = np.ones((1, 2, 1, 1))
+
+
+# a float64 cast would keep only the real part of a complex block
+@pytest.mark.parametrize("call", [
+    lambda: lu_factor(_COMPLEX),
+    lambda: invert_blocks(_COMPLEX),
+    lambda: invert_level(_COMPLEX, 1),
+    lambda: upward_step(_COMPLEX, _ONES, _ONES, np.ones((1, 1, 1, 1)), (2,), child_level=0),
+], ids=["lu_factor", "invert_blocks", "invert_level", "upward_step"])
+def test_complex_blocks_refused(call):
+    with pytest.raises(ValueError, match="^blocks must be real, got complex128$"):
+        call()
 
 
 def test_rejects_rhs_row_mismatch():

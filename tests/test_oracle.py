@@ -305,6 +305,36 @@ def test_chain_helpers_refuse_bad_shapes(call, message):
         call()
 
 
+_ONES = np.ones((1, 1, 1))
+_COMPLEX = np.ones((1, 1, 1), complex)
+
+
+# a float64 cast would keep only the real part of a complex input
+@pytest.mark.parametrize("call, message", [
+    (lambda: ssm_reference(_ONES, np.ones((2, 1, 1), complex), np.ones((2, 1, 1))),
+     "input maps must be real, got complex128"),
+    (lambda: ssm_reference(_COMPLEX, np.ones((2, 1, 1)), np.ones((2, 1, 1))),
+     "interaction must be real, got complex128"),
+    (lambda: ssm_reference(_ONES, np.ones((2, 1, 1)), np.ones((2, 1, 1), complex)),
+     "right part must be real, got complex128"),
+    (lambda: chain_inverse_entry(_COMPLEX, 2, 1),
+     "subdiagonal blocks must be real, got complex128"),
+    (lambda: tridiag_bidiagonal_factor(np.ones((2, 1, 1), complex), _ONES, _ONES),
+     "diagonal blocks must be real, got complex128"),
+    (lambda: tridiag_bidiagonal_factor(2 * np.ones((2, 1, 1)), _COMPLEX, _ONES),
+     "subdiagonal blocks must be real, got complex128"),
+    (lambda: tridiag_bidiagonal_factor(2 * np.ones((2, 1, 1)), _ONES, _COMPLEX),
+     "superdiagonal blocks must be real, got complex128"),
+    (lambda: bidiagonal_solve(tridiag_bidiagonal_factor(2 * np.ones((2, 1, 1)), _ONES, _ONES),
+                              np.ones((2, 1, 1), complex)),
+     "right part must be real, got complex128"),
+], ids=["ssm-maps", "ssm-interaction", "ssm-right-part", "chain-inverse", "tridiag-diag",
+        "tridiag-sub", "tridiag-sup", "bidiagonal-right-part"])
+def test_references_refuse_complex_input(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
 class TestFiniteDifferences:
     def test_identity_system_sum_loss(self):
         tree = build_perfect_tree(2, 4)
@@ -342,10 +372,13 @@ class TestFiniteDifferences:
         with pytest.raises(ValueError):
             finite_diff_grad(params, tree, u, lambda x: 0.0, eps=0.0)
 
-    @pytest.mark.parametrize("eps", [np.nan, np.inf])
+    # a step that is no real number would meet a TypeError in isfinite or in 1j > 0
+    @pytest.mark.parametrize("eps", [np.nan, np.inf, "a", None, 1j],
+                             ids=["nan", "inf", "string", "none", "complex"])
     def test_rejects_non_finite_step(self, eps):
         tree = build_chain(2)
         params = init_random_stable(tree, 1, seed=0)
         u = random_rhs(tree, 1, rng=np.random.default_rng(0))
-        with pytest.raises(ValueError, match="step"):
+        message = f"step must be positive and finite, got {eps}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             finite_diff_grad(params, tree, u, lambda x: 0.0, eps=eps)

@@ -289,6 +289,15 @@ _PAIR = build_perfect_tree(2, 2)  # two leaves under one root
      "gauge level 2 must be real, got complex128"),
     (lambda: forward(LayerConfig(_PAIR, 1), init_random_stable(_PAIR), np.ones((1, 2, 1), complex)),
      "leaf inputs must be real, got complex128"),
+    # numpy's seeding and isfinite would raise TypeError, or take True as seed 1
+    (lambda: init_random_stable(_PAIR, seed=1.5), "seed must be an integer, got 1.5"),
+    (lambda: init_random_stable(_PAIR, seed=True), "seed must be an integer, got True"),
+    (lambda: init_random_stable(_PAIR, coupling_scale="a"),
+     "coupling scale must be finite and nonnegative, got a"),
+    (lambda: init_random_stable(_PAIR, coupling_scale=None),
+     "coupling scale must be finite and nonnegative, got None"),
+    (lambda: init_random_stable(_PAIR, coupling_scale=1j),
+     "coupling scale must be finite and nonnegative, got 1j"),
 ], ids=["heads", "B-shape", "C-shape", "block-size-count", "gauge-levels", "ssm-maps",
         "ssm-interaction", "float-block-size", "float-block-size-list", "ragged-block-sizes",
         "float-heads", "vector-block-sizes", "vector-heads", "vector-non-finite", "no-A-levels",
@@ -296,7 +305,8 @@ _PAIR = build_perfect_tree(2, 2)  # two leaves under one root
         "ssm-empty-blocks", "vector-node-counts", "tree-before-vector", "depth-before-heads",
         "heads-before-block-sizes", "node-counts-before-block-sizes",
         "block-sizes-before-non-finite", "complex-vector-level", "complex-A", "complex64-C",
-        "complex-ssm-maps", "complex-ssm-interaction", "complex-gauge", "complex-leaf-inputs"])
+        "complex-ssm-maps", "complex-ssm-interaction", "complex-gauge", "complex-leaf-inputs",
+        "float-seed", "bool-seed", "string-scale", "none-scale", "complex-scale"])
 def test_shape_errors(call, fragment):
     with pytest.raises(ValueError, match=re.escape(fragment)):
         call()
@@ -324,3 +334,12 @@ def test_real_integer_and_bool_inputs_keep_their_bytes():
     config, params = LayerConfig(tree, 1), init_random_stable(tree)
     _assert_same_bytes(forward(config, params, [[[1]], [[True]]]),
                        forward(config, params, [[[1.0]], [[1.0]]]))
+
+
+def test_numpy_scalar_seed_and_scale_keep_their_bytes():
+    tree = build_perfect_tree(2, 4)
+    _assert_same_bytes(init_random_stable(tree, 2, seed=np.int64(3),
+                                          coupling_scale=np.float64(0.7)),
+                       init_random_stable(tree, 2, seed=3, coupling_scale=0.7))
+    _assert_same_bytes(init_random_stable(tree, 2, seed=np.uint8(3), coupling_scale=1),
+                       init_random_stable(tree, 2, seed=3, coupling_scale=1.0))

@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from treesolve import (TreeTopology, build_chain, build_perfect_tree,
                        init_random_stable, read_problem, write_problem)
@@ -239,3 +241,47 @@ def test_payload_count_is_exact(tmp_path):
                  right_parts=2 ** 32, floats=7)
     with pytest.raises(ValueError, match=f"payload holds 7 floats, expected {7 + 3 * 2 ** 64}$"):
         read_problem(path)
+
+
+_VALID_HEADERS = [
+    {"batch": 1, "block_sizes": [1, 1, 1], "format_version": 1, "heads": 1, "right_parts": 1,
+     "tree": tree}
+    for tree in ({"arity": 2, "leaf_count": 4},
+                 {"level_sizes": [4, 2, 1], "split_sizes": [[2, 2], [2]]})
+]
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.text(max_size=4)
+    | st.integers(min_value=-2 ** 70, max_value=2 ** 70),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
+                                                                  max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def _fuzzed_headers(draw):
+    """A valid 4-leaf header, up to three fields (``tree``'s too) replaced, maybe one dropped."""
+    header = json.loads(json.dumps(draw(st.sampled_from(_VALID_HEADERS))))
+    fields = [(k,) for k in header] + [("tree", k) for k in header["tree"]]
+    for path in draw(st.lists(st.sampled_from(fields), max_size=3)):
+        owner = header if len(path) == 1 else header.get("tree")
+        if isinstance(owner, dict):
+            owner[path[-1]] = draw(_JSON)
+    if draw(st.booleans()):
+        path = draw(st.sampled_from(fields))
+        owner = header if len(path) == 1 else header.get("tree")
+        if isinstance(owner, dict):
+            owner.pop(path[-1], None)
+    return header
+
+
+@given(_fuzzed_headers(), st.binary(max_size=400))
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_fuzzed_file_reads_or_raises_value_error(tmp_path, header, payload):
+    path = tmp_path / "fuzz.bin"
+    path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+    try:
+        read_problem(path)
+    except ValueError:
+        pass

@@ -1,5 +1,7 @@
-"""The README's quick start runs on exported names, and its figures come from BENCH files."""
+"""The README's quick start runs on exported names, its figures come from BENCH files,
+and the package casts to float64 in one place."""
 
+import inspect
 import json
 import re
 from pathlib import Path
@@ -41,6 +43,21 @@ def test_no_measured_figure_in_the_package():
              for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
              if FIGURE.search(line)]
     assert not found, found
+
+
+FLOAT64_CAST = re.compile(r"np\.(as)?array\(.*dtype=np\.float64")
+
+
+def test_float64_cast_only_in_the_input_rule():
+    """Every outside array becomes float64 through ``topology._float64``, which refuses complex."""
+    src = Path(treesolve.__file__).resolve().parent
+    found = [f"{path.name}:{n}: {line.strip()}"
+             for path in sorted(src.glob("*.py"))
+             for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+             if FLOAT64_CAST.search(line)]
+    assert len(found) == 1 and found[0].startswith("topology.py:"), found
+    rule = inspect.getsource(treesolve.topology._float64)
+    assert FLOAT64_CAST.search(rule), rule
 
 
 ROW = re.compile(r"\| ([\w-]+) \| (\w+) \| ([0-9.]+) \| (\w+) \| `(BENCH_pr\d+\.json)` \|")
