@@ -35,13 +35,17 @@ def test_every_exported_name_resolves():
 FIGURE = re.compile(r"[0-9.]+ ?(MB|ms|µs|KB)|[0-9.]+x (faster|slower)")
 
 
+def _package_lines(pattern):
+    src = Path(treesolve.__file__).resolve().parent
+    return [f"{path.name}:{n}: {line.strip()}"
+            for path in sorted(src.glob("*.py"))
+            for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+            if pattern.search(line)]
+
+
 def test_no_measured_figure_in_the_package():
     """Measurements live in the BENCH files; a figure in a docstring goes stale."""
-    src = Path(treesolve.__file__).resolve().parent
-    found = [f"{path.name}:{n}: {line.strip()}"
-             for path in sorted(src.glob("*.py"))
-             for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
-             if FIGURE.search(line)]
+    found = _package_lines(FIGURE)
     assert not found, found
 
 
@@ -50,11 +54,7 @@ FLOAT64_CAST = re.compile(r"np\.(as)?array\(.*dtype=np\.float64")
 
 def test_float64_cast_only_in_the_input_rule():
     """Every outside array becomes float64 through ``topology._float64``, which refuses complex."""
-    src = Path(treesolve.__file__).resolve().parent
-    found = [f"{path.name}:{n}: {line.strip()}"
-             for path in sorted(src.glob("*.py"))
-             for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
-             if FLOAT64_CAST.search(line)]
+    found = _package_lines(FLOAT64_CAST)
     assert len(found) == 1 and found[0].startswith("topology.py:"), found
     rule = inspect.getsource(treesolve.topology._float64)
     assert FLOAT64_CAST.search(rule), rule
