@@ -1,7 +1,7 @@
 """Command-line interface: generate, verify, benchmark, flatten, gradcheck.
 
-Exit codes: 0 success, 1 usage error, 2 numerical failure (singular block),
-3 verification failure.
+Exit codes: 0 success, 1 usage error, 2 numerical failure (a singular block,
+or a tree solution that overflows to non-finite entries), 3 verification failure.
 """
 
 import argparse
@@ -58,6 +58,20 @@ def _ones_like(u: TreeVector) -> TreeVector:
     return TreeVector(tuple(np.ones_like(v) for v in u.levels))
 
 
+def _tree_solve(params, tree, u: TreeVector) -> TreeVector:
+    """:func:`solve`, refusing a non-finite solution as a numerical failure that names its level.
+
+    The check stays here, so the library's ``solve`` pays nothing for it.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # the refusal below is the one report
+        x = solve(params, tree, u)
+    for l, level in enumerate(x.levels):
+        if not np.isfinite(level).all():
+            raise np.linalg.LinAlgError(
+                f"tree solution level {l + 1} overflows to non-finite entries")
+    return x
+
+
 def _problem(arity, leaves, block_size, heads, batch, rhs, seed, gamma):
     """A perfect tree, stable random parameters and a normal right part, all fixed by ``seed``."""
     tree = build_perfect_tree(arity, leaves)
@@ -83,7 +97,7 @@ def cmd_gen(args) -> int:
 def cmd_verify(args) -> int:
     tree, params, u = read_problem(args.infile)
     system = DenseSystem(params, tree, max_nodes=args.max_dense)
-    x = solve(params, tree, u)
+    x = _tree_solve(params, tree, u)
     x_ref = system.solve(u)
     scale = max(x_ref.max_abs(), np.finfo(np.float64).tiny)
     discrepancy = (x - x_ref).max_abs() / scale
@@ -139,7 +153,7 @@ def cmd_gradcheck(args) -> int:
             f"{n_entries} differentiable entries exceed the gradcheck cap "
             f"{args.max_entries}; use a smaller problem"
         )
-    x = solve(params, tree, u)
+    x = _tree_solve(params, tree, u)
     grad_u, grads = vjp(params, tree, u, x, _ones_like(u))
 
     def total(sol: TreeVector) -> float:
@@ -217,7 +231,7 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except np.linalg.LinAlgError as e:
-        # SingularBlockError carries the offending level/node in its message
+        # SingularBlockError and _tree_solve name the offending level in their message
         print(f"numerical failure: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ValueError, OSError, MemoryError) as e:

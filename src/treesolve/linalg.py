@@ -2,7 +2,8 @@
 
 All leading axes index independent blocks.  A block is singular when
 partial-pivoted elimination meets a pivot not above PIVOT_RTOL times the
-block's largest entry magnitude, as the reference :func:`lu_factor`
+block's largest entry magnitude, or below the smallest normal float64
+(whose reciprocal can overflow), as the reference :func:`lu_factor`
 decides.  :func:`invert_blocks` inverts with batched LAPACK and rejects
 exactly what :func:`lu_factor` rejects, and :func:`invert_level` names the
 level, node and head of a singular block.
@@ -16,6 +17,7 @@ __all__ = ["PIVOT_RTOL", "SingularBlockError", "invert_blocks", "invert_level", 
            "lu_solve"]
 
 PIVOT_RTOL = 1e-12
+_TINY = np.finfo(np.float64).tiny  # the smallest normal float64; a pivot under it is refused
 
 
 class SingularBlockError(np.linalg.LinAlgError):
@@ -52,7 +54,8 @@ def lu_factor(a: np.ndarray):
     Returns ``(lu, perm)`` where ``lu`` packs the unit-lower and upper factors
     and ``perm[..., i]`` is the original row that ended up at position ``i``.
     Raises :class:`SingularBlockError` on the first block whose pivot is not
-    above ``PIVOT_RTOL`` times the block's max absolute entry (so also on NaN).
+    above ``PIVOT_RTOL`` times the block's max absolute entry (so also on NaN),
+    or is below the smallest normal float64, since its reciprocal can overflow.
     """
     lu = np.array(_float64(a, "blocks"))
     _check_square_stack(lu)
@@ -64,7 +67,8 @@ def lu_factor(a: np.ndarray):
     for k in range(d):
         col = np.abs(lu[:, k:, k])
         rel = np.argmax(col, axis=-1)  # the first of equal maxima
-        bad = ~(col[n, rel] > PIVOT_RTOL * scale)  # a NaN pivot or scale is bad too
+        pivot = col[n, rel]
+        bad = ~(pivot > PIVOT_RTOL * scale) | (pivot < _TINY)  # a NaN pivot or scale is bad too
         if bad.any():
             index = np.unravel_index(np.argmax(bad), lead)
             raise SingularBlockError(tuple(int(i) for i in index), k)
@@ -98,8 +102,9 @@ def invert_blocks(a: np.ndarray) -> np.ndarray:
 
     Uses batched LAPACK, or the reciprocal for 1x1 blocks.  Partial pivoting
     keeps every pivot at least 1 / ||A^-1||_inf, so a stack whose every block
-    has ``2 PIVOT_RTOL max|A| ||A^-1||_inf < 1`` (the 2 absorbs rounding) has
-    no pivot under ``PIVOT_RTOL max|A|`` and is returned.  Any other stack, or
+    has ``2 max(PIVOT_RTOL max|A|, tiny) ||A^-1||_inf < 1`` (the 2 absorbs
+    rounding; tiny is the smallest normal float64) has no pivot under
+    ``PIVOT_RTOL max|A|`` or tiny and is returned.  Any other stack, or
     one LAPACK finds singular, goes through :func:`lu_factor`, so a
     :class:`SingularBlockError` carries its ``block_index`` and ``pivot_step``.
     """
@@ -114,7 +119,7 @@ def invert_blocks(a: np.ndarray) -> np.ndarray:
         if inv is not None:
             scale = np.max(np.abs(a), axis=(-2, -1))
             inv_norm = np.max(np.sum(np.abs(inv), axis=-1), axis=-1)
-            if np.all(2.0 * PIVOT_RTOL * scale * inv_norm < 1.0):
+            if np.all(2.0 * np.maximum(PIVOT_RTOL * scale, _TINY) * inv_norm < 1.0):
                 return inv
     lu, perm = lu_factor(a)
     if inv is None:  # LAPACK met an exact zero the reference LU did not

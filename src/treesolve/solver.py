@@ -140,16 +140,14 @@ def downward_step(u_hat: np.ndarray, b_hat: np.ndarray, x_parent: np.ndarray,
                   split) -> np.ndarray:
     """Recover a child level from its parent solutions: x_c = u_hat_c + b_hat_c x_p.
 
-    ``split`` holds the child counts per parent.  x_c is returned; it is written
-    into ``u_hat`` when ``u_hat`` is writeable, so such a ``u_hat`` must be a
-    buffer that nothing else reads.  A read-only ``u_hat``, such as
-    :func:`upward_sweep`'s zero view, is left as it is, and x_c takes the fresh
-    array of b_hat_c x_p; the bits are those of ``u_hat + b_hat_c x_p`` either way.
+    ``split`` holds the child counts per parent.  x_c is a fresh array, written
+    over the product b_hat_c x_p, with the bits of ``u_hat + b_hat_c x_p``; no
+    argument is written into.
     """
     k = _arity(split)
     x_up = x_parent if k == 1 else np.repeat(x_parent, k or split, axis=2)
     v = _block_product(b_hat, x_up)
-    return np.add(u_hat, v, out=u_hat if u_hat.flags.writeable else v)
+    return np.add(u_hat, v, out=v)
 
 
 def _factor(params: LevelParams, tree: TreeTopology, transposed: bool) -> _Factor:
@@ -185,9 +183,10 @@ def upward_sweep(params: LevelParams, tree: TreeTopology, u: TreeVector, *,
     then the root's carry right part.  Elimination starts at the lowest level
     below the root with a nonzero entry.  Each all-zero level under it, whose
     u_hat the full pass would make +0.0, holds the read-only zero view
-    ``np.broadcast_to(0.0, level.shape)``; every other u_hat is a fresh array.
-    The carries are bit for bit the full pass's, because a level above only
-    +0.0 messages gets its own right part minus +0.0, which is that right part.
+    ``np.broadcast_to(0.0, level.shape)``; it keeps the level's shape, by which
+    treebench charges each :func:`downward_step` to its level.  The carries are
+    bit for bit the full pass's, because a level above only +0.0 messages gets
+    its own right part minus +0.0, which is that right part.
     The root's carry is ``u.levels[-1]`` itself when no level below the root
     has a nonzero entry, a one-level tree included.
     """
@@ -206,9 +205,11 @@ def upward_sweep(params: LevelParams, tree: TreeTopology, u: TreeVector, *,
 
 
 def downward_sweep(factor: _Factor, levels: list, tree: TreeTopology) -> TreeVector:
-    """Solve the root and back-substitute to the leaves, in place of each writeable u_hat.
+    """Solve the root and back-substitute to the leaves.
 
-    ``levels`` is :func:`upward_sweep`'s list; the solution is returned.
+    ``levels`` is :func:`upward_sweep`'s list; the solution is returned.  Each
+    entry is replaced by its level's solution, which frees its u_hat as soon as
+    that level is solved.
     """
     levels[-1] = _block_product(factor.root_inv, levels[-1])
     for l in range(tree.depth - 2, -1, -1):

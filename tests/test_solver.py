@@ -93,9 +93,14 @@ class TestDownwardStep:
         b_hat = rng.standard_normal((1, 4, 3, 3))
         xp = rng.standard_normal((2, 1, 2, 3, 2))
         want = u_hat + b_hat @ np.repeat(xp, [2, 2], axis=2)
+        args = (u_hat, b_hat, xp)
+        saved = [a.copy() for a in args]
         got = downward_step(u_hat, b_hat, xp, [2, 2])
         np.testing.assert_array_equal(got, want)
-        assert got is u_hat  # the solution overwrites the u_hat buffer
+        # a pure step: its writeable arguments keep their bytes, and it returns its own array
+        for a, b in zip(args, saved):
+            _assert_identical(a, b)
+        assert not any(np.shares_memory(got, a) for a in args)
 
 
 class TestBlockProduct:
@@ -454,10 +459,13 @@ class TestSolveState:
         u = random_rhs(tree, 2, rng=rng)
         factor, levels = upward_sweep(params, tree, u)
         u_hats = levels[:-1]
+        saved = [u_hat.copy() for u_hat in u_hats]
         x = downward_sweep(factor, levels, tree)
         assert rel_err(x, solve(params, tree, u)) == 0.0
-        # back-substitution wrote each level's solution into its u_hat buffer
-        assert all(x_l is u_hat for x_l, u_hat in zip(x.levels, u_hats))
+        # back-substitution reads each u_hat and writes the solution into fresh arrays
+        for u_hat, before in zip(u_hats, saved):
+            _assert_identical(u_hat, before)
+        assert not any(np.shares_memory(x_l, u_hat) for x_l in x.levels for u_hat in u_hats)
 
 
 def test_concurrent_solves_share_params():
@@ -929,7 +937,9 @@ class TestChildGroupPath:
             u_hat = rng.standard_normal((2, 3, len(idx), 2, 2))
             b_hat = rng.standard_normal((3, len(idx), 2, 2))
             want = u_hat + b_hat @ x[:, :, idx]
-            _assert_identical(downward_step(u_hat.copy(), b_hat, x, split), want)
+            saved = u_hat.copy()
+            _assert_identical(downward_step(u_hat, b_hat, x, split), want)
+            _assert_identical(u_hat, saved)
             got, want = _gather_parents(x, split), x[:, :, idx]
             assert np.array_equal(got, want)
             if split == (1, 1, 1, 1):
@@ -954,7 +964,7 @@ class TestChildGroupPath:
 
 
 class TestSolvesNeitherWriteNorAlias:
-    """Back-substitution overwrites buffers in place, but only the solve's own fresh ones."""
+    """No solve writes into what it is handed, and every array it returns is its own."""
 
     TREES = {
         "root-only": lambda: build_perfect_tree(2, 1),
