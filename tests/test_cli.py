@@ -315,6 +315,32 @@ class TestUsage:
         assert run.stderr.startswith(f"error: argument {flag}: ")
         assert run.stderr.count("\n") == 1
 
+    # root-only problems: (diagonal, right part, block size, the one stderr line)
+    ROOT_ONLY_FAILURES = {
+        # finite input whose solution 1.7e308 / 0.5 overflows to inf
+        "overflow": (0.5, 1.7e308, 1,
+                     "numerical failure: tree solution level 1 overflows to non-finite entries"),
+        # a subnormal pivot, which LAPACK inverts to inf or NaN
+        "subnormal": (1e-310, 1.0, 2, "numerical failure: singular diagonal block at level 1, "
+                                      "node 1, head 1 (pivot step 0)"),
+    }
+
+    @pytest.mark.parametrize("command", ["verify", "gradcheck"])
+    @pytest.mark.parametrize("problem", ROOT_ONLY_FAILURES)
+    def test_numerical_failure_is_one_line_error(self, tmp_path, command, problem):
+        from treesolve import LevelParams, TreeVector, build_perfect_tree
+        a, u, d, line = self.ROOT_ONLY_FAILURES[problem]
+        path = tmp_path / f"{problem}.bin"
+        write_problem(path, build_perfect_tree(2, 1),
+                      LevelParams((a * np.eye(d)[None, None],), (), ()),
+                      TreeVector((np.full((1, 1, 1, d, 1), u),)))
+        src = os.path.dirname(os.path.dirname(treesolve.__file__))
+        run = subprocess.run([sys.executable, "-m", "treesolve.cli", command, "--in", str(path)],
+                             capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=src))
+        assert run.returncode == EXIT_NUMERICAL
+        assert run.stderr == line + "\n"
+
     def test_unknown_flag(self):
         assert main(["gen", "--bogus", "1"]) == EXIT_USAGE
 

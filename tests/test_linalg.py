@@ -143,6 +143,33 @@ def test_invert_blocks_zero_or_infinite_block(d, bad):
     assert _rejection(invert_blocks, a) == _rejection(lu_factor, a) == ((1,), 0)
 
 
+# PIVOT_RTOL times a subnormal scale underflows, so the relative test alone refuses no
+# nonzero pivot there; the reciprocal of a subnormal pivot overflows to inf
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("d", [1, 2, 4])
+@pytest.mark.parametrize("call, index", [
+    (lu_factor, (1,)),
+    (invert_blocks, (1,)),
+    (lambda a: invert_level(a[None], 2), (0, 1)),
+], ids=["lu_factor", "invert_blocks", "invert_level"])
+def test_subnormal_pivot_refused(call, index, d):
+    a = np.stack([np.eye(d), 1e-310 * np.eye(d), np.eye(d)])
+    with pytest.raises(SingularBlockError) as info:
+        call(a)
+    assert (info.value.block_index, info.value.pivot_step) == (index, 0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("d", [1, 2, 4])
+def test_tiny_normal_pivot_keeps_its_inverse(d):
+    a = 1e-300 * np.eye(d)[None]
+    want = 1.0 / a if d == 1 else np.linalg.inv(a)
+    assert np.isfinite(want).all()
+    got = invert_blocks(a)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    lu_factor(a)
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 5, 16])
 def test_invert_blocks_matches_lapack_solve(d):
     rng = np.random.default_rng(d)

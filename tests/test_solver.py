@@ -237,6 +237,29 @@ class TestSolve:
         assert info.value.node == 1
         assert "level 2, node 1" in str(info.value)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_subnormal_root_block_raises(self, d):
+        # LAPACK inverts 1e-310 I to inf or NaN; the solve must not return that
+        tree = build_perfect_tree(2, 1)
+        params = LevelParams((1e-310 * np.eye(d)[None, None],), (), ())
+        with pytest.raises(SingularBlockError, match=r"^singular diagonal block at level 1, "
+                                                     r"node 1, head 1 \(pivot step 0\)$"):
+            solve(params, tree, random_rhs(tree, d, rng=np.random.default_rng(0)))
+
+    @pytest.mark.filterwarnings("error")
+    def test_subnormal_leaf_block_is_named_where_it_is(self):
+        # a non-finite inverse on leaf 3 would otherwise surface as a NaN at its parent
+        tree = build_perfect_tree(2, 4)
+        params = init_random_stable(tree, 2, seed=0)
+        A = list(params.A)
+        A[0] = A[0].copy()
+        A[0][0, 2] *= 1e-310
+        params = LevelParams(tuple(A), params.B, params.C)
+        with pytest.raises(SingularBlockError) as info:
+            solve(params, tree, random_rhs(tree, 2, rng=np.random.default_rng(0)))
+        assert (info.value.level, info.value.node, info.value.pivot_step) == (1, 3, 0)
+
 
 class TestStats:
     @pytest.mark.parametrize("arity,leaves,want", [
