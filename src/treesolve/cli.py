@@ -12,7 +12,7 @@ import time
 import numpy as np
 
 from .oracle import MAX_DENSE_NODES, DenseSystem, finite_diff_grad
-from .params import TreeVector, init_random_stable
+from .params import TreeVector, _flat, init_random_stable
 from .problem_io import read_problem, write_problem
 from .solver import solve, solve_with_stats, vjp
 from .topology import GridShape, build_perfect_tree, order_indices
@@ -147,7 +147,7 @@ def cmd_flatten(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     tree, params, u = read_problem(args.infile)
-    n_entries = sum(a.size for a in params.A + params.B + params.C + u.levels)
+    n_entries = sum(a.size for a in _flat(params.A, params.B, params.C, u.levels))
     if n_entries > args.max_entries:
         raise _UsageError(
             f"{n_entries} differentiable entries exceed the gradcheck cap "
@@ -161,7 +161,7 @@ def cmd_gradcheck(args) -> int:
 
     fd_u, fd_grads = finite_diff_grad(params, tree, u, total, eps=args.eps)
 
-    got, want = (np.concatenate([a.ravel() for a in g.A + g.B + g.C + v.levels])
+    got, want = (np.concatenate([a.ravel() for a in _flat(*g, v.levels)])
                  for g, v in ((grads, grad_u), (fd_grads, fd_u)))
     scale = np.maximum(np.maximum(np.abs(got), np.abs(want)), 1.0)
     worst = float(np.max(np.abs(got - want) / scale, initial=0.0))

@@ -9,7 +9,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .params import BlockGrads, LevelParams, TreeVector
+from .params import BlockGrads, LevelParams, TreeVector, _flat, _unflat
 from .topology import TreeTopology, _float64, _integer, dfs_postorder_perm
 
 __all__ = [
@@ -240,20 +240,13 @@ def finite_diff_grad(params: LevelParams, tree: TreeTopology, u: TreeVector,
     """
     if not (isinstance(eps, numbers.Real) and np.isfinite(eps) and eps > 0):
         raise ValueError(f"step must be positive and finite, got {eps}")
-    D = params.depth
-
-    def split(flat):
-        # [*A, *B, *C, *u.levels] -> (A, B, C, u.levels)
-        return (tuple(flat[:D]), tuple(flat[D : 2 * D - 1]),
-                tuple(flat[2 * D - 1 : 3 * D - 2]), tuple(flat[3 * D - 2 :]))
-
-    arrays = [np.array(a) for a in (*params.A, *params.B, *params.C, *u.levels)]
+    arrays = [np.array(a) for a in _flat(params.A, params.B, params.C, u.levels)]
     grads = [np.zeros_like(a) for a in arrays]
 
     def loss_at(arr, idx, value):
         # writes value into arr in place; the caller restores the entry
         arr[idx] = value
-        A, B, C, levels = split(arrays)
+        A, B, C, levels = _unflat(arrays, params.depth)
         return float(loss(DenseSystem(LevelParams(A, B, C), tree).solve(TreeVector(levels))))
 
     for arr, g in zip(arrays, grads):
@@ -261,5 +254,5 @@ def finite_diff_grad(params: LevelParams, tree: TreeTopology, u: TreeVector,
             x = arr[idx]
             g[idx] = (loss_at(arr, idx, x + eps) - loss_at(arr, idx, x - eps)) / (2 * eps)
             arr[idx] = x
-    A, B, C, levels = split(grads)
+    A, B, C, levels = _unflat(grads, params.depth)
     return TreeVector(levels), BlockGrads(A, B, C)

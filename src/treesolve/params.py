@@ -1,11 +1,15 @@
 """Per-level block parameters and right-hand sides, with parameter transforms.
 
-Shapes, for 0-based level l of D and H heads:
+A problem's array layout is stated here and nowhere else.  Shapes, for 0-based
+level l of D and H heads (the blocks' are :func:`_block_shapes`):
 
 * ``A[l]``: (H, n_l, d_l, d_l) diagonal blocks.
 * ``B[l]``, l < D-1: (H, n_l, d_l, d_{l+1}), the parent's value in the node's block row.
 * ``C[l]``, l < D-1: (H, n_l, d_{l+1}, d_l), the node's value in its parent's block row.
 * right parts: (batch, H, n_l, d_l, r), with r simultaneous columns.
+
+Listed flat (:func:`_flat`, undone by :func:`_unflat`), the arrays run A for
+levels 1..D, then B and C for levels 1..D-1, then the right parts for levels 1..D.
 
 Containers are immutable; transforms return new ones.
 """
@@ -30,12 +34,32 @@ __all__ = [
 ]
 
 
-def _frozen_f64(a, name):
-    arr = np.array(_float64(a, name))
+def _frozen_f64(a, what, level):
+    arr = np.array(_float64(a, what, level))
     if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite entries")
+        raise ValueError(f"{what} {level} contains non-finite entries")
     arr.setflags(write=False)
     return arr
+
+
+def _block_shapes(heads: int, node_counts, block_sizes):
+    """The shapes of A, B and C, level by level, for a system of these sizes."""
+    n, d = node_counts, block_sizes
+    return ([(heads, n[l], d[l], d[l]) for l in range(len(n))],
+            [(heads, n[l], d[l], d[l + 1]) for l in range(len(n) - 1)],
+            [(heads, n[l], d[l + 1], d[l]) for l in range(len(n) - 1)])
+
+
+def _flat(A, B, C, levels) -> list:
+    """A problem's per-level arrays (or their shapes) in the flat order."""
+    return [*A, *B, *C, *levels]
+
+
+def _unflat(flat, depth: int):
+    """Split :func:`_flat`'s list for ``depth`` levels back into (A, B, C, levels) tuples."""
+    D = depth
+    return (tuple(flat[:D]), tuple(flat[D : 2 * D - 1]),
+            tuple(flat[2 * D - 1 : 3 * D - 2]), tuple(flat[3 * D - 2 :]))
 
 
 @dataclass(frozen=True)
@@ -52,9 +76,9 @@ class LevelParams:
     C: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        A = tuple(_frozen_f64(a, f"A[{l}]") for l, a in enumerate(self.A))
-        B = tuple(_frozen_f64(b, f"B[{l}]") for l, b in enumerate(self.B))
-        C = tuple(_frozen_f64(c, f"C[{l}]") for l, c in enumerate(self.C))
+        A = tuple(_frozen_f64(a, "A level", l) for l, a in enumerate(self.A, 1))
+        B = tuple(_frozen_f64(b, "B level", l) for l, b in enumerate(self.B, 1))
+        C = tuple(_frozen_f64(c, "C level", l) for l, c in enumerate(self.C, 1))
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "C", C)
@@ -66,22 +90,16 @@ class LevelParams:
                 f"expected {len(A) - 1} coupling levels, got {len(B)} B and {len(C)} C"
             )
         heads = A[0].shape[0]
-        for l, a in enumerate(A):
+        for l, a in enumerate(A, 1):
             if a.ndim != 4 or a.shape[-1] != a.shape[-2] or min(a.shape) < 1:
-                raise ValueError(f"A[{l}] must be (heads, nodes, d, d), got {a.shape}")
+                raise ValueError(f"A level {l} must be (heads, nodes, d, d), got {a.shape}")
             if a.shape[0] != heads:
-                raise ValueError(f"A[{l}] head count {a.shape[0]} != {heads}")
-        for l, (b, c) in enumerate(zip(B, C)):
-            d_l, d_up = A[l].shape[-1], A[l + 1].shape[-1]
-            n_l = A[l].shape[1]
-            if b.shape != (heads, n_l, d_l, d_up):
-                raise ValueError(
-                    f"B[{l}] shape {b.shape} != expected {(heads, n_l, d_l, d_up)}"
-                )
-            if c.shape != (heads, n_l, d_up, d_l):
-                raise ValueError(
-                    f"C[{l}] shape {c.shape} != expected {(heads, n_l, d_up, d_l)}"
-                )
+                raise ValueError(f"A level {l} head count {a.shape[0]} != {heads}")
+        _, B_shapes, C_shapes = _block_shapes(heads, self.node_counts, self.block_sizes)
+        for name, blocks, shapes in (("B", B, B_shapes), ("C", C, C_shapes)):
+            for l, (x, shape) in enumerate(zip(blocks, shapes), 1):
+                if x.shape != shape:
+                    raise ValueError(f"{name} level {l} shape {x.shape} != expected {shape}")
 
     @property
     def depth(self) -> int:
@@ -142,7 +160,7 @@ class TreeVector:
     levels: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        levels = tuple(_float64(v, f"level {l + 1}") for l, v in enumerate(self.levels))
+        levels = tuple(_float64(v, "level", l) for l, v in enumerate(self.levels, 1))
         object.__setattr__(self, "levels", levels)
         if not levels:
             raise ValueError("need at least one level")
@@ -192,7 +210,7 @@ class TreeVector:
         return tuple(v.shape[3] for v in self.levels)
 
     def max_abs(self) -> float:
-        return max(float(np.max(np.abs(v))) if v.size else 0.0 for v in self.levels)
+        return max(float(np.max(np.abs(v))) for v in self.levels)
 
     def __sub__(self, other: "TreeVector") -> "TreeVector":
         return TreeVector(tuple(a - b for a, b in zip(self.levels, other.levels)))
@@ -236,23 +254,17 @@ def init_random_stable(tree: TreeTopology, block_sizes=1, heads: int = 1,
     heads = _positive(heads, "heads")
     sizes = _block_size_list(block_sizes, tree.depth)
     rng = np.random.default_rng(_integer(seed, "seed"))
-    A = tuple(
-        np.broadcast_to(np.eye(d), (heads, n, d, d)).copy()
-        for n, d in zip(tree.level_sizes, sizes)
-    )
-    B, C = [], []
-    for l in range(tree.depth - 1):
-        n, d_l, d_up = tree.level_sizes[l], sizes[l], sizes[l + 1]
-        k = max(tree.split_sizes[l])
-        bound = coupling_scale / (k * max(d_l, d_up))
-        b = rng.uniform(-bound, bound, size=(heads, n, d_l, d_up))
-        B.append(b)
-        C.append(-b.swapaxes(-1, -2))
-    return LevelParams(A, tuple(B), tuple(C))
+    A_shapes, B_shapes, _ = _block_shapes(heads, tree.level_sizes, sizes)
+    A = tuple(np.broadcast_to(np.eye(s[-1]), s).copy() for s in A_shapes)
+    B = []
+    for shape, split in zip(B_shapes, tree.split_sizes):
+        bound = coupling_scale / (max(split) * max(shape[-2:]))  # shape ends (d_l, d_{l+1})
+        B.append(rng.uniform(-bound, bound, size=shape))
+    return LevelParams(A, tuple(B), tuple(-b.swapaxes(-1, -2) for b in B))
 
 
 def _as_gauge_levels(gauge, shapes) -> list[np.ndarray]:
-    levels = [_float64(g, f"gauge level {l + 1}") for l, g in enumerate(gauge)]
+    levels = [_float64(g, "gauge level", l) for l, g in enumerate(gauge, 1)]
     if len(levels) != len(shapes):
         raise ValueError(f"expected {len(shapes)} gauge levels, got {len(levels)}")
     for l, (g, shape) in enumerate(zip(levels, shapes)):

@@ -3,17 +3,18 @@
 One JSON header line ``{"format_version", "tree", "block_sizes", "heads",
 "batch", "right_parts"}``, where ``tree`` is ``{"arity", "leaf_count"}`` when
 every split is one ``arity >= 2`` and ``{"level_sizes", "split_sizes"}``
-(leaf level first) otherwise, then one little-endian float64 payload: A for
-levels 1..D, then B and C for levels 1..D-1, then the right parts for levels
-1..D, each C-ordered with the shapes of :mod:`treesolve.params`.
+(leaf level first) otherwise, then one little-endian float64 payload: every
+array of the problem in the flat order of :mod:`treesolve.params`, each
+C-ordered with its shape there.
 """
 
+import itertools
 import json
 import math
 
 import numpy as np
 
-from .params import LevelParams, TreeVector, _block_size_list
+from .params import LevelParams, TreeVector, _block_shapes, _block_size_list, _flat, _unflat
 from .topology import TreeTopology, _perfect_level_sizes, _positive, build_perfect_tree
 
 __all__ = ["FORMAT_VERSION", "write_problem", "read_problem"]
@@ -55,10 +56,9 @@ def write_problem(path, tree: TreeTopology, params: LevelParams, u: TreeVector) 
         "batch": u.batch,
         "right_parts": u.right_parts,
     }
-    chunks = list(params.A) + list(params.B) + list(params.C) + list(u.levels)
     with open(path, "wb") as f:
         f.write(json.dumps(header, sort_keys=True).encode("ascii") + b"\n")
-        for arr in chunks:
+        for arr in _flat(params.A, params.B, params.C, u.levels):
             f.write(np.ascontiguousarray(arr, dtype=_DTYPE).tobytes())
 
 
@@ -86,13 +86,10 @@ def read_problem(path):
             raise TypeError(f"block_sizes must be a list, got {header['block_sizes']!r}")
         d = _block_size_list(header["block_sizes"], depth)
         heads, batch, r = (_positive(header[k], k) for k in ("heads", "batch", "right_parts"))
-        shapes = (
-            [(heads, n[l], d[l], d[l]) for l in range(depth)]
-            + [(heads, n[l], d[l], d[l + 1]) for l in range(depth - 1)]
-            + [(heads, n[l], d[l + 1], d[l]) for l in range(depth - 1)]
-            + [(batch, heads, n[l], d[l], r) for l in range(depth)]
-        )
-        total = sum(math.prod(s) for s in shapes)
+        shapes = _flat(*_block_shapes(heads, n, d),
+                       [(batch, heads, n_l, d_l, r) for n_l, d_l in zip(n, d)])
+        offsets = list(itertools.accumulate(map(math.prod, shapes), initial=0))
+        total = offsets[-1]
         if len(payload) % 8:  # not a whole number of float64s
             raise ValueError(f"payload holds {len(payload)} bytes, expected {8 * total}")
         data = np.frombuffer(payload, dtype=_DTYPE)
@@ -103,14 +100,6 @@ def read_problem(path):
         raise ValueError(f"malformed problem header: missing key {e}") from None
     except (TypeError, AttributeError) as e:
         raise ValueError(f"malformed problem header: {e}") from None
-    arrays, at = [], 0
-    for s in shapes:
-        arrays.append(data[at : at + math.prod(s)].reshape(s))
-        at += math.prod(s)
-    params = LevelParams(
-        tuple(arrays[:depth]),
-        tuple(arrays[depth : 2 * depth - 1]),
-        tuple(arrays[2 * depth - 1 : 3 * depth - 2]),
-    )
-    u = TreeVector(tuple(arrays[3 * depth - 2 :]))
-    return tree, params, u
+    arrays = [data[a:b].reshape(s) for s, a, b in zip(shapes, offsets, offsets[1:])]
+    A, B, C, levels = _unflat(arrays, depth)
+    return tree, LevelParams(A, B, C), TreeVector(levels)

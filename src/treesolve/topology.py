@@ -46,11 +46,15 @@ def _positive(value, what: str) -> int:
     return value
 
 
-def _float64(a, what: str) -> np.ndarray:
-    """``a`` as a float64 array; a complex ``a`` is a ValueError, not cut to its real part."""
+def _float64(a, what: str, index=None) -> np.ndarray:
+    """``a`` as a float64 array; a complex ``a`` is a ValueError, not cut to its real part.
+
+    The error names ``what``, then ``index`` if given: no name is built unless needed.
+    """
     arr = np.asarray(a)
     if arr.dtype.kind == "c":
-        raise ValueError(f"{what} must be real, got {arr.dtype}")
+        name = what if index is None else f"{what} {index}"
+        raise ValueError(f"{name} must be real, got {arr.dtype}")
     return np.asarray(arr, dtype=np.float64)
 
 

@@ -224,9 +224,9 @@ _PAIR = build_perfect_tree(2, 2)  # two leaves under one root
     (lambda: LevelParams((np.ones((2, 2, 1, 1)), np.ones((1, 1, 1, 1))),
                          (np.ones((2, 2, 1, 1)),), (np.ones((2, 2, 1, 1)),)), "head count"),
     (lambda: LevelParams((np.ones((1, 2, 1, 1)), np.ones((1, 1, 2, 2))),
-                         (np.ones((1, 2, 2, 1)),), (np.ones((1, 2, 2, 1)),)), "B[0] shape"),
+                         (np.ones((1, 2, 2, 1)),), (np.ones((1, 2, 2, 1)),)), "B level 1 shape"),
     (lambda: LevelParams((np.ones((1, 2, 1, 1)), np.ones((1, 1, 2, 2))),
-                         (np.ones((1, 2, 1, 2)),), (np.ones((1, 2, 1, 2)),)), "C[0] shape"),
+                         (np.ones((1, 2, 1, 2)),), (np.ones((1, 2, 1, 2)),)), "C level 1 shape"),
     (lambda: init_random_stable(_PAIR, block_sizes=[1, 1, 1]), "expected 2 block sizes"),
     (lambda: apply_gauge(init_random_stable(_PAIR), _PAIR, [np.ones((1, 2, 1, 1))]),
      "expected 2 gauge levels"),
@@ -277,10 +277,10 @@ _PAIR = build_perfect_tree(2, 2)  # two leaves under one root
      "level 2 must be real, got complex128"),
     (lambda: LevelParams((np.ones((1, 2, 1, 1), complex), np.ones((1, 1, 1, 1))),
                          (np.zeros((1, 2, 1, 1)),), (np.zeros((1, 2, 1, 1)),)),
-     "A[0] must be real, got complex128"),
+     "A level 1 must be real, got complex128"),
     (lambda: LevelParams((np.ones((1, 2, 1, 1)), np.ones((1, 1, 1, 1))),
                          (np.zeros((1, 2, 1, 1)),), (np.zeros((1, 2, 1, 1), np.complex64),)),
-     "C[0] must be real, got complex64"),
+     "C level 1 must be real, got complex64"),
     (lambda: ssm_to_chain(np.zeros((1, 1, 1)), np.ones((2, 1, 1), complex)),
      "input maps must be real, got complex128"),
     (lambda: ssm_to_chain([[[0.5j]]], np.ones((2, 1, 1))), "interaction must be real, got complex128"),
