@@ -294,8 +294,7 @@ def apply_gauge(params: LevelParams, tree: TreeTopology, gauge) -> LevelParams:
 
 def scale_rhs(u: TreeVector, gauge) -> TreeVector:
     """Apply the same per-node row scaling to a right-hand side: u_v -> D_v^{-1} u_v."""
-    shapes = [(u.heads, n, d, d) for n, d in zip(u.node_counts, u.block_sizes)]
-    levels = _as_gauge_levels(gauge, shapes)
+    levels = _as_gauge_levels(gauge, _block_shapes(u.heads, u.node_counts, u.block_sizes)[0])
     return TreeVector(tuple(invert_level(g, l + 1) @ v
                             for l, (g, v) in enumerate(zip(levels, u.levels))))
 

@@ -3,13 +3,13 @@ import re
 import numpy as np
 import pytest
 
-from treesolve import (DenseSystem, LevelParams, TreeVector,
+from treesolve import (DenseSystem, LevelParams, TreeTopology, TreeVector,
                        bidiagonal_solve, build_chain, build_perfect_tree,
                        chain_inverse_entry, finite_diff_grad,
                        init_random_stable, solve, ssm_reference, ssm_to_chain,
-                       tridiag_bidiagonal_factor)
+                       tridiag_bidiagonal_factor, vjp)
 from treesolve.oracle import chain_tridiagonal_blocks
-from helpers import random_params, random_rhs, rel_err, with_nan
+from helpers import dot, random_params, random_rhs, rel_err, with_nan
 
 
 def scalar(v):
@@ -364,6 +364,23 @@ class TestFiniteDifferences:
         np.testing.assert_allclose(grad_u.levels[1].reshape(-1)[0], y[1], atol=1e-8)
         np.testing.assert_allclose(grads.A[0].reshape(-1)[0], -y[0] * x[0], atol=1e-7)
         np.testing.assert_allclose(grads.C[0].reshape(-1)[0], -y[1] * x[0], atol=1e-7)
+
+    @pytest.mark.parametrize("tree, sizes", [
+        (TreeTopology((3, 2, 1), ((2, 1), (2,))), (1, 3, 2)),
+        (TreeTopology((5, 3, 3, 1), ((2, 0, 3), (1, 1, 1), (3,))), (2, 1, 3, 2)),
+    ], ids=["irregular-1-3-2", "childless-2-1-3-2"])
+    def test_vjp_matches_on_mixed_block_sizes(self, tree, sizes):
+        """B and C blocks differ in shape here, so their slices of the flat order are checked."""
+        rng = np.random.default_rng(31)
+        params = random_params(tree, sizes, heads=2, rng=rng, coupling=0.5)
+        u = random_rhs(tree, sizes, heads=2, right_parts=2, rng=rng)
+        g = random_rhs(tree, sizes, heads=2, right_parts=2, rng=rng)
+        grad_u, grads = vjp(params, tree, u, solve(params, tree, u), g)
+        fd_u, fd = finite_diff_grad(params, tree, u, lambda x: dot(g, x), eps=1e-5)
+        for got, want in [*zip(grads.A, fd.A), *zip(grads.B, fd.B),
+                          *zip(grads.C, fd.C), *zip(grad_u.levels, fd_u.levels)]:
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-8)
 
     def test_rejects_bad_step(self):
         tree = build_chain(2)

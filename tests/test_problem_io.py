@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from treesolve import (TreeTopology, build_chain, build_perfect_tree,
                        init_random_stable, read_problem, write_problem)
-from helpers import random_rhs, with_nan
+from helpers import random_params, random_rhs, with_nan
 
 
 def roundtrip(tmp_path, tree, params, u):
@@ -30,6 +30,38 @@ def test_roundtrip_bit_exact(tmp_path):
         np.testing.assert_array_equal(got, want)
     for got, want in zip(u2.levels, u.levels):
         np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("tree, sizes", [
+    (TreeTopology((3, 2, 1), ((2, 1), (2,))), (1, 3, 2)),
+    (TreeTopology((5, 3, 3, 1), ((2, 0, 3), (1, 1, 1), (3,))), (2, 1, 3, 2)),
+], ids=["irregular-1-3-2", "childless-2-1-3-2"])
+def test_roundtrip_bit_exact_mixed_block_sizes(tmp_path, tree, sizes):
+    """B and C differ in shape where block sizes change, so a swapped layout cannot pass."""
+    rng = np.random.default_rng(7)
+    params = random_params(tree, sizes, heads=2, rng=rng)  # B and C drawn independently
+    u = random_rhs(tree, sizes, heads=2, batch=2, right_parts=2, rng=rng)
+    _, (tree2, params2, u2) = roundtrip(tmp_path, tree, params, u)
+    assert tree2 == tree
+    assert (params2.depth, u2.depth) == (tree.depth, tree.depth)
+    for got, want in [*zip(params2.A, params.A), *zip(params2.B, params.B),
+                      *zip(params2.C, params.C), *zip(u2.levels, u.levels)]:
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_payload_order_is_a_b_c_then_right_parts(tmp_path):
+    # a 2-chain with block sizes (1, 2): A 1 + 4 floats, B 2, C 2, right parts 1 + 2
+    header = {"batch": 1, "block_sizes": [1, 2], "format_version": 1, "heads": 1,
+              "right_parts": 1, "tree": {"level_sizes": [1, 1], "split_sizes": [[1]]}}
+    path = tmp_path / "order.bin"
+    path.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n"
+                     + np.arange(12, dtype="<f8").tobytes())
+    _, params, u = read_problem(path)
+    got = [params.A[0], params.A[1], params.B[0], params.C[0], u.levels[0], u.levels[1]]
+    assert [a.shape for a in got] == [(1, 1, 1, 1), (1, 1, 2, 2), (1, 1, 1, 2), (1, 1, 2, 1),
+                                      (1, 1, 1, 1, 1), (1, 1, 1, 2, 1)]
+    np.testing.assert_array_equal(np.concatenate([a.ravel() for a in got]), np.arange(12))
 
 
 def test_write_is_deterministic(tmp_path):
