@@ -36,7 +36,7 @@ __all__ = [
 
 def _frozen_f64(a, what, level):
     arr = np.array(_float64(a, what, level))
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{what} {level} contains non-finite entries")
     arr.setflags(write=False)
     return arr

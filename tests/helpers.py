@@ -60,6 +60,22 @@ def rel_err(got: TreeVector, want: TreeVector) -> float:
     return (got - want).max_abs() / scale
 
 
+def arrays(result):
+    """Every array of a solve, transpose solve or vjp result, in order."""
+    if isinstance(result, np.ndarray):
+        return [result]
+    if isinstance(result, TreeVector):
+        return list(result.levels)
+    return [a for part in result for a in arrays(part)]
+
+
+def assert_identical(got, want):
+    got, want = arrays(got), arrays(want)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):  # bytes, so a -0.0 for a +0.0 differs too
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def dot(a: TreeVector, b: TreeVector) -> float:
     return float(sum((x * y).sum() for x, y in zip(a.levels, b.levels)))
 

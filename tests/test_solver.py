@@ -14,8 +14,8 @@ from treesolve import (DenseSystem, GridShape, LayerConfig, LevelParams, Singula
 from treesolve.linalg import invert_level
 from treesolve.solver import (_block_product, _gather_parents, downward_step, downward_sweep,
                               segment_sum, transpose_params, upward_sweep)
-from helpers import (dot, irregular_trees, jvp, perturbation_like, random_params, random_rhs,
-                     rel_err)
+from helpers import (arrays, assert_identical, dot, irregular_trees, jvp, perturbation_like,
+                     random_params, random_rhs, rel_err)
 
 
 def scalar(v):
@@ -99,7 +99,7 @@ class TestDownwardStep:
         np.testing.assert_array_equal(got, want)
         # a pure step: its writeable arguments keep their bytes, and it returns its own array
         for a, b in zip(args, saved):
-            _assert_identical(a, b)
+            assert_identical(a, b)
         assert not any(np.shares_memory(got, a) for a in args)
 
 
@@ -334,7 +334,7 @@ class TestTransposeAndVjp:
         y = solve_transpose(params, tree, g)
         want = system.unpack(np.linalg.solve(system.matrix.swapaxes(-1, -2), system.pack(g)))
         assert rel_err(y, want) < 1e-11
-        _assert_identical(vjp(params, tree, u, x, g)[0], y)
+        assert_identical(vjp(params, tree, u, x, g)[0], y)
 
     def test_transpose_equals_solve_for_symmetric_system(self):
         rng = np.random.default_rng(10)
@@ -487,7 +487,7 @@ class TestSolveState:
         assert rel_err(x, solve(params, tree, u)) == 0.0
         # back-substitution reads each u_hat and writes the solution into fresh arrays
         for u_hat, before in zip(u_hats, saved):
-            _assert_identical(u_hat, before)
+            assert_identical(u_hat, before)
         assert not any(np.shares_memory(x_l, u_hat) for x_l in x.levels for u_hat in u_hats)
 
 
@@ -565,7 +565,7 @@ def test_equal_groups_of_up_to_eight_sum_to_reduceats_bytes(case, k):
     values, axis = _segment_values(case, 5 * k, np.random.default_rng(k))
     with np.errstate(over="ignore" if case == "overflow" else "warn"):
         got = segment_sum(values, [k] * 5, axis=axis)
-        _assert_identical(got, np.add.reduceat(values, np.arange(0, 5 * k, k), axis=axis))
+        assert_identical(got, np.add.reduceat(values, np.arange(0, 5 * k, k), axis=axis))
     if case == "signed-zeros":
         assert np.signbit(got[:, :, :2]).all()
     if case == "overflow":
@@ -580,7 +580,7 @@ def test_equal_groups_of_up_to_eight_sum_to_reduceats_bytes(case, k):
 def test_other_groups_sum_by_reduceat(case, sizes):
     values, axis = _segment_values(case, sum(sizes), np.random.default_rng(len(sizes)))
     with np.errstate(over="ignore" if case == "overflow" else "warn"):
-        _assert_identical(segment_sum(values, sizes, axis=axis),
+        assert_identical(segment_sum(values, sizes, axis=axis),
                           _reduceat_sums(values, sizes, axis))
 
 
@@ -660,22 +660,6 @@ def test_structure_errors(call, fragment):
         call()
 
 
-def _arrays(result):
-    """Every array of a solve, transpose solve or vjp result, in order."""
-    if isinstance(result, np.ndarray):
-        return [result]
-    if isinstance(result, TreeVector):
-        return list(result.levels)
-    return [a for part in result for a in _arrays(part)]
-
-
-def _assert_identical(got, want):
-    got, want = _arrays(got), _arrays(want)
-    assert len(got) == len(want)
-    for a, b in zip(got, want):  # bytes, so a -0.0 for a +0.0 differs too
-        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
 def _twin(params):
     """A new instance with the same blocks, so it has no cached factor."""
     return LevelParams(params.A, params.B, params.C)
@@ -698,10 +682,10 @@ class TestFactorCache:
         for batch in (1, 3, 2):  # first, second and third call, each with new inputs
             u, g = (random_rhs(tree, 2, heads=2, batch=batch, rng=rng) for _ in range(2))
             x = solve(params, tree, u)
-            _assert_identical(x, solve(_twin(params), tree, u))
-            _assert_identical(solve_transpose(params, tree, g),
+            assert_identical(x, solve(_twin(params), tree, u))
+            assert_identical(solve_transpose(params, tree, g),
                               solve_transpose(_twin(params), tree, g))
-            _assert_identical(vjp(params, tree, u, x, g), vjp(_twin(params), tree, u, x, g))
+            assert_identical(vjp(params, tree, u, x, g), vjp(_twin(params), tree, u, x, g))
 
     def test_repeat_calls_skip_the_parameter_half(self, monkeypatch):
         import treesolve.solver as solver_module
@@ -806,9 +790,9 @@ class TestFactorCache:
         finally:
             sys.setswitchinterval(interval)
         for a, b in zip(parallel, serial):
-            _assert_identical(a, b)
+            assert_identical(a, b)
         for (call, v), want in zip(jobs, serial):  # and the cached factors they left
-            _assert_identical(call(shared, tree, v), want)
+            assert_identical(call(shared, tree, v), want)
 
 
 def _level_loop(params, tree, u, transposed=False):
@@ -868,10 +852,10 @@ class TestChildGroupPath:
             u, g = (random_rhs(tree, d, heads=2, batch=3, right_parts=2, rng=rng)
                     for _ in range(2))
             x = solve(params, tree, u)
-            _assert_identical(x, _level_loop(params, tree, u))
-            _assert_identical(solve_transpose(params, tree, g),
+            assert_identical(x, _level_loop(params, tree, u))
+            assert_identical(solve_transpose(params, tree, g),
                               _level_loop(params, tree, g, transposed=True))
-            _assert_identical(vjp(params, tree, u, x, g), _level_loop_vjp(params, tree, x, g))
+            assert_identical(vjp(params, tree, u, x, g), _level_loop_vjp(params, tree, x, g))
 
     @pytest.mark.parametrize("name", [*TREES, "8x8-image"])
     def test_zero_lowest_levels_equal_the_level_loop(self, name):
@@ -896,9 +880,9 @@ class TestChildGroupPath:
             want = (_level_loop(params, tree, u), _level_loop(params, tree, g, transposed=True))
             for call in ("miss", "hit"):
                 x = solve(params, tree, u)
-                _assert_identical(x, want[0])
-                _assert_identical(solve_transpose(params, tree, g), want[1])
-                _assert_identical(vjp(params, tree, u, x, g), _level_loop_vjp(params, tree, x, g))
+                assert_identical(x, want[0])
+                assert_identical(solve_transpose(params, tree, g), want[1])
+                assert_identical(vjp(params, tree, u, x, g), _level_loop_vjp(params, tree, x, g))
 
     def test_skipped_levels_still_step_down_with_their_shapes(self, monkeypatch):
         # treebench charges a downward_step to the level that np.shape(args[0])[2] names
@@ -928,8 +912,8 @@ class TestChildGroupPath:
         want = _level_loop(params, tree, zero)
         assert not any(np.signbit(x).any() for x in want.levels)
         for _ in ("miss", "hit"):
-            _assert_identical(solve(params, tree, zero), want)
-            _assert_identical(solve_transpose(params, tree, zero),
+            assert_identical(solve(params, tree, zero), want)
+            assert_identical(solve_transpose(params, tree, zero),
                               _level_loop(params, tree, zero, transposed=True))
 
     def test_transpose_params_are_read_only_views(self):
@@ -961,8 +945,8 @@ class TestChildGroupPath:
             b_hat = rng.standard_normal((3, len(idx), 2, 2))
             want = u_hat + b_hat @ x[:, :, idx]
             saved = u_hat.copy()
-            _assert_identical(downward_step(u_hat, b_hat, x, split), want)
-            _assert_identical(u_hat, saved)
+            assert_identical(downward_step(u_hat, b_hat, x, split), want)
+            assert_identical(u_hat, saved)
             got, want = _gather_parents(x, split), x[:, :, idx]
             assert np.array_equal(got, want)
             if split == (1, 1, 1, 1):
@@ -982,7 +966,7 @@ class TestChildGroupPath:
         step = solver_module.upward_step
         monkeypatch.setattr(solver_module, "upward_step",
                             lambda *a, **k: calls.append(1) or step(*a, **k))
-        _assert_identical(solve(params, twin, u), want)
+        assert_identical(solve(params, twin, u), want)
         assert calls == [] and len(params._factors) == 1
 
 
@@ -1021,12 +1005,12 @@ class TestSolvesNeitherWriteNorAlias:
         inputs = [*u.levels, *g.levels, *pooled.levels, *x.levels, leaf,
                   *params.A, *params.B, *params.C]
         saved = [a.copy() for a in inputs]
-        results = {(call, k): _arrays(run()) for call, run in calls.items() for k in range(2)}
-        cached = [a for f in params._factors.values() for part in f for a in _arrays(part)]
+        results = {(call, k): arrays(run()) for call, run in calls.items() for k in range(2)}
+        cached = [a for f in params._factors.values() for part in f for a in arrays(part)]
         assert cached
         for a, b in zip(inputs, saved):
-            _assert_identical(a, b)
-        returned = [(key, a) for key, arrays in results.items() for a in arrays]
+            assert_identical(a, b)
+        returned = [(key, a) for key, got in results.items() for a in got]
         for i, (key, a) in enumerate(returned):
             assert not any(np.shares_memory(a, b) for b in inputs + cached), key
             assert not any(np.shares_memory(a, b) for _, b in returned[i + 1:]), key
@@ -1035,4 +1019,4 @@ class TestSolvesNeitherWriteNorAlias:
             for k in range(2):
                 for a in results[(call, k)]:
                     a[...] = np.nan
-            _assert_identical(run(), want)
+            assert_identical(run(), want)
