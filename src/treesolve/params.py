@@ -16,7 +16,7 @@ Containers are immutable; transforms return new ones.
 
 import numbers
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -89,13 +89,12 @@ class LevelParams:
             raise ValueError(
                 f"expected {len(A) - 1} coupling levels, got {len(B)} B and {len(C)} C"
             )
-        heads = A[0].shape[0]
-        for l, a in enumerate(A, 1):
+        for l, a in enumerate(A, 1):  # level 1's shape is checked before its head count is read
             if a.ndim != 4 or a.shape[-1] != a.shape[-2] or min(a.shape) < 1:
                 raise ValueError(f"A level {l} must be (heads, nodes, d, d), got {a.shape}")
-            if a.shape[0] != heads:
-                raise ValueError(f"A level {l} head count {a.shape[0]} != {heads}")
-        _, B_shapes, C_shapes = _block_shapes(heads, self.node_counts, self.block_sizes)
+            if a.shape[0] != self.heads:
+                raise ValueError(f"A level {l} head count {a.shape[0]} != {self.heads}")
+        _, B_shapes, C_shapes = _block_shapes(self.heads, self.node_counts, self.block_sizes)
         for name, blocks, shapes in (("B", B, B_shapes), ("C", C, C_shapes)):
             for l, (x, shape) in enumerate(zip(blocks, shapes), 1):
                 if x.shape != shape:
@@ -178,11 +177,12 @@ class TreeVector:
                 )
 
     @classmethod
-    def zeros(cls, tree: TreeTopology, block_sizes: Sequence[int], heads: int = 1,
+    def zeros(cls, tree: TreeTopology, block_sizes, heads: int = 1,
               batch: int = 1, right_parts: int = 1) -> "TreeVector":
+        """An all-zero vector on ``tree``; ``block_sizes`` is one size or one per level."""
         return cls(tuple(
             np.zeros((batch, heads, n, d, right_parts))
-            for n, d in zip(tree.level_sizes, block_sizes)
+            for n, d in zip(tree.level_sizes, _block_size_list(block_sizes, tree.depth))
         ))
 
     @property

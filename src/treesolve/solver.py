@@ -13,14 +13,17 @@ node) blocks of its level.  The parameter half is built once per
 solve eliminates only its right part against it.  Parameters and factors
 are read-only, so concurrent solves are safe.
 
-Heads are independent systems, so a level step whose work (output elements
-times contracted size) reaches ``_SPLIT_WORK`` runs on contiguous ranges of
-two or more heads at once: one range on the calling thread, the others on a
-private pool with one thread fewer than the cores this process may run on
-(``os.sched_getaffinity``, read once).  The split covers
-:func:`upward_sweep`'s products against the factor, :func:`downward_step`
-and :func:`vjp`'s outer products.  A factor miss, a smaller level, one core
-or fewer than four heads run on the calling thread alone.  Each range writes
+Heads are independent systems, and every level step is a batch of per-head
+block products: :func:`_block_product` (the factor's ``inv @ B`` and
+``C @ b_hat``, the right part's ``inv @ u`` and ``C @ u_hat``, and
+back-substitution with its addend) and :func:`vjp`'s outer products.  A
+product whose work (output elements times contracted size) reaches
+``_SPLIT_WORK`` runs on contiguous ranges of two or more heads at once
+(:func:`_split`): one range on the calling thread, the others on a private
+pool with one thread fewer than the cores this process may run on
+(``os.sched_getaffinity``, read once).  ``invert_level`` does not split, so
+a singular block is named as on one thread.  A smaller product, one core or
+fewer than four heads run on the calling thread alone.  Each range writes
 its heads' slice of an output laid out as the serial call lays out its own,
 with the same per-block operations, so every output is bit for bit a serial
 run's.  The pool is made on the first split; a forked child drops its
@@ -69,7 +72,7 @@ class SolveStats(NamedTuple):
     aux_floats: int
 
 
-# Work (output elements x contracted size) from which a level step splits over
+# Work (output elements x contracted size) from which a product splits over
 # heads.  Measured on two cores, a split back-substitution or outer product
 # gained from 2**16 at block size 4 but lost there at sizes 1 and 16, where
 # handing a range to the pool costs more than it saves; from 2**18 it gained
@@ -90,39 +93,49 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _head_ranges(heads: int):
-    """Contiguous ranges of at least two heads, one per core, or None for one range.
+def _split(kernel, *operands) -> np.ndarray:
+    """``kernel(*operands)``, its heads cut into contiguous ranges that run at once.
 
-    Callers ask only for a level step whose work reaches ``_SPLIT_WORK``.  A
-    range of one head would drop the head axis from ``einsum``'s iteration,
-    which can change the order in which it sums.
+    In every operand and in the result the head axis is the fourth from the
+    end and the node axis the third.  Ranges hold two heads or more, one per
+    core: a range of one head would drop the head axis from ``einsum``'s
+    iteration, which can change the order in which it sums.  Under four heads
+    or on one core ``kernel`` runs whole.  A split writes ``kernel(..., out=)``
+    per range into ``np.empty_like`` of the kernel's result on two-node slices
+    of the operands: numpy lays out what it allocates, and ``einsum`` orders
+    its sum, by its operands' strides and by which axes have length 1, so that
+    is the whole call's layout.  The first range runs on this thread.
+    Kernels call only numpy: they never submit to the pool, so calls from
+    many threads cannot deadlock, and no name that a tracer may wrap runs off
+    the calling thread.
     """
-    global _cores
+    global _cores, _pool
     if _cores is None:
         _cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (
             os.cpu_count() or 1)
+    heads = operands[0].shape[-4]
     n = min(_cores, heads // 2)
-    return [(heads * i // n, heads * (i + 1) // n) for i in range(n)] if n > 1 else None
-
-
-def _run_split(task, ranges, *args) -> None:
-    """Run ``task(*args, h0, h1)`` for every head range, the first on this thread.
-
-    Tasks call only numpy and private helpers: they never submit to the pool,
-    so calls from many threads cannot deadlock, and no name that a tracer may
-    wrap runs off the calling thread.
-    """
-    global _pool
+    if n < 2:
+        return kernel(*operands)
+    probe = kernel(*(x[..., :2, :, :] for x in operands))
+    out = np.empty_like(probe, shape=probe.shape[:-3] + operands[0].shape[-3:-2]
+                        + probe.shape[-2:])
     if _pool is None:
         with _pool_lock:
             if _pool is None:
                 _pool = ThreadPoolExecutor(max(_cores - 1, 1), thread_name_prefix="treesolve")
-    futures = [_pool.submit(task, *args, h0, h1) for h0, h1 in ranges[1:]]
+
+    def run(h0, h1):
+        kernel(*(x[..., h0:h1, :, :, :] for x in operands), out=out[..., h0:h1, :, :, :])
+
+    cuts = [heads * i // n for i in range(n + 1)]
+    futures = [_pool.submit(run, cuts[i], cuts[i + 1]) for i in range(1, n)]
     try:
-        task(*args, *ranges[0])
+        run(cuts[0], cuts[1])
     finally:
         for f in futures:
             f.result()
+    return out
 
 
 def _arity(split) -> Optional[int]:
@@ -180,68 +193,55 @@ def _gather_parents(v: np.ndarray, split) -> np.ndarray:
     return np.moveaxis(np.repeat(np.moveaxis(v, 2, 0), k or split, axis=0), 0, 2)
 
 
-def _block_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _block_product(a: np.ndarray, b: np.ndarray, add: Optional[np.ndarray] = None) -> np.ndarray:
     """``a @ b`` over stacks of blocks, to the bit; scalar blocks multiply elementwise.
 
     With a contracted size of 1, ``matmul`` rounds one product and starts its
     sum from +0.0; ``+= 0.0`` turns a -0.0 product into +0.0 the same way.
+    Given ``add``, returns ``add + a @ b``, written over the product.  A
+    product whose work reaches ``_SPLIT_WORK`` goes to :func:`_split`; any
+    other runs :func:`_product_into`'s body inline, because a chain makes
+    thousands of products and a call per product costs time.  For the same
+    reason a cheaper test comes first: ``a.size`` bounds ``a.shape[-2]``.
     """
+    if a.size * b.size >= _SPLIT_WORK and b.size * a.shape[-2] >= _SPLIT_WORK:
+        return _split(_product_into, a, b) if add is None else _split(_product_into, a, b, add)
     if a.shape[-1] == 1 == b.shape[-2]:
         out = a * b
         out += 0.0
-        return out
-    return a @ b
+    else:
+        out = a @ b
+    if add is not None:
+        np.add(add, out, out=out)
+    return out
 
 
-def _probe(a: np.ndarray) -> np.ndarray:
-    """A view of at most two entries per axis of ``a``, with its strides.
-
-    numpy orders a call's iteration, and so lays out what it allocates and
-    (in ``einsum``) the order in which it sums, by its operands' strides and
-    by which axes have length 1.  A call on probes therefore lays out its
-    result as the call on the full operands does; ``np.empty_like`` of that
-    result with the full shape is the array a split writes into.
-    """
-    return a[(slice(2),) * a.ndim]
-
-
-def _product_into(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
-    """:func:`_block_product` of ``a`` and ``b``, written into ``out``."""
+def _product_into(a: np.ndarray, b: np.ndarray, add: Optional[np.ndarray] = None, *,
+                  out: Optional[np.ndarray] = None) -> np.ndarray:
+    """:func:`_block_product` on one thread, written into ``out`` if given."""
     if a.shape[-1] == 1 == b.shape[-2]:
-        np.multiply(a, b, out=out)
+        out = np.multiply(a, b, out=out)
         out += 0.0
     else:
-        np.matmul(a, b, out=out)
+        out = np.matmul(a, b, out=out)
+    if add is not None:
+        np.add(add, out, out=out)
+    return out
 
 
-def _eliminate_heads(inv, C, u, u_hat, msg, h0, h1) -> None:
-    """Heads h0:h1 of u_hat = inv u and of the message C u_hat."""
-    _product_into(inv[h0:h1], u[:, h0:h1], u_hat[:, h0:h1])
-    _product_into(C[h0:h1], u_hat[:, h0:h1], msg[:, h0:h1])
+def _outer(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """-sum over batch and right parts of y x^T per block; large work goes to :func:`_split`.
+
+    As in :func:`_block_product`, ``x.size`` bounds ``x.shape[-2]`` in a cheaper first test.
+    """
+    if y.size * x.size >= _SPLIT_WORK and y.size * x.shape[-2] >= _SPLIT_WORK:
+        return _split(_outer_into, y, x)
+    return -np.einsum("bhnir,bhnjr->hnij", y, x)
 
 
-def _back_substitute_heads(u_hat, b_hat, x_up, x, h0, h1) -> None:
-    """Heads h0:h1 of x = u_hat + b_hat x_up, the sum written over the product."""
-    out = x[:, h0:h1]
-    _product_into(b_hat[h0:h1], x_up[:, h0:h1], out)
-    np.add(u_hat[:, h0:h1], out, out=out)
-
-
-def _outer_heads(y, x, grad, h0, h1) -> None:
-    """Heads h0:h1 of grad = -sum over batch and right parts of y x^T."""
-    out = grad[h0:h1]
-    np.einsum("bhnir,bhnjr->hnij", y[:, h0:h1], x[:, h0:h1], out=out)
-    np.negative(out, out=out)
-
-
-def _outer(y: np.ndarray, x: np.ndarray, ranges) -> np.ndarray:
-    """-sum over batch and right parts of y x^T per block; split over ``ranges`` unless None."""
-    if ranges is None:
-        return -np.einsum("bhnir,bhnjr->hnij", y, x)
-    grad = np.empty_like(np.einsum("bhnir,bhnjr->hnij", _probe(y), _probe(x)),
-                         shape=y.shape[1:3] + (y.shape[3], x.shape[3]))
-    _run_split(_outer_heads, ranges, y, x, grad)
-    return grad
+def _outer_into(y: np.ndarray, x: np.ndarray, *, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """:func:`_outer` on one thread, written into ``out`` if given."""
+    return np.negative(np.einsum("bhnir,bhnjr->hnij", y, x, out=out), out=out)
 
 
 def upward_step(a: np.ndarray, B: np.ndarray, C: np.ndarray, a_parent: np.ndarray, split, *,
@@ -269,13 +269,7 @@ def downward_step(u_hat: np.ndarray, b_hat: np.ndarray, x_parent: np.ndarray,
     """
     k = _arity(split)
     x_up = x_parent if k == 1 else np.repeat(x_parent, k or split, axis=2)
-    ranges = None if u_hat.size * b_hat.shape[-1] < _SPLIT_WORK else _head_ranges(len(b_hat))
-    if ranges is None:
-        v = _block_product(b_hat, x_up)
-        return np.add(u_hat, v, out=v)
-    x = np.empty_like(_block_product(_probe(b_hat), _probe(x_up)), shape=u_hat.shape)
-    _run_split(_back_substitute_heads, ranges, u_hat, b_hat, x_up, x)
-    return x
+    return _block_product(b_hat, x_up, u_hat)
 
 
 def _factor(params: LevelParams, tree: TreeTopology, transposed: bool) -> _Factor:
@@ -326,18 +320,9 @@ def upward_sweep(params: LevelParams, tree: TreeTopology, u: TreeVector, *,
     levels = [np.broadcast_to(0.0, level.shape) for level in u.levels[:low]]
     levels.append(u.levels[low])
     for l in range(low + 1, tree.depth):
-        inv, C, carry = factor.inv[l - 1], factor.C[l - 1], levels[-1]
-        ranges = None if carry.size * inv.shape[-1] < _SPLIT_WORK else _head_ranges(len(inv))
-        if ranges is None:
-            levels[-1] = u_hat = _block_product(inv, carry)
-            msg = _block_product(C, u_hat)
-        else:
-            probe = _block_product(_probe(inv), _probe(carry))
-            levels[-1] = u_hat = np.empty_like(probe, shape=carry.shape)
-            msg = np.empty_like(_block_product(_probe(C), probe),
-                                shape=carry.shape[:3] + (C.shape[-2], carry.shape[-1]))
-            _run_split(_eliminate_heads, ranges, inv, C, carry, u_hat, msg)
-        levels.append(u.levels[l] - segment_sum(msg, tree.split_sizes[l - 1], axis=2))
+        levels[-1] = u_hat = _block_product(factor.inv[l - 1], levels[-1])
+        levels.append(u.levels[l] - segment_sum(_block_product(factor.C[l - 1], u_hat),
+                                                tree.split_sizes[l - 1], axis=2))
     return factor, levels
 
 
@@ -412,11 +397,9 @@ def vjp(params: LevelParams, tree: TreeTopology, u: TreeVector, x: TreeVector,
     y = solve_transpose(params, tree, g)
     grad_A, grad_B, grad_C = [], [], []
     for l in range(tree.depth):
-        y_l, x_l = y.levels[l], x.levels[l]
-        ranges = None if y_l.size * x_l.shape[3] < _SPLIT_WORK else _head_ranges(y.heads)
-        grad_A.append(_outer(y_l, x_l, ranges))
+        grad_A.append(_outer(y.levels[l], x.levels[l]))
         if l < tree.depth - 1:  # each parent gather is freed before the next is made
             split = tree.split_sizes[l]
-            grad_B.append(_outer(y_l, _gather_parents(x.levels[l + 1], split), ranges))
-            grad_C.append(_outer(_gather_parents(y.levels[l + 1], split), x_l, ranges))
+            grad_B.append(_outer(y.levels[l], _gather_parents(x.levels[l + 1], split)))
+            grad_C.append(_outer(_gather_parents(y.levels[l + 1], split), x.levels[l]))
     return y, BlockGrads(tuple(grad_A), tuple(grad_B), tuple(grad_C))

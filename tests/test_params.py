@@ -298,6 +298,13 @@ _PAIR = build_perfect_tree(2, 2)  # two leaves under one root
      "coupling scale must be finite and nonnegative, got None"),
     (lambda: init_random_stable(_PAIR, coupling_scale=1j),
      "coupling scale must be finite and nonnegative, got 1j"),
+    # the head count is read only after level 1's shape is checked
+    (lambda: LevelParams((np.float64(1.0),), (), ()),
+     "A level 1 must be (heads, nodes, d, d), got ()"),
+    # zip would cut a long list short, and a lone size is not iterable
+    (lambda: TreeVector.zeros(_PAIR, (2,)), "expected 2 block sizes, got 1"),
+    (lambda: TreeVector.zeros(_PAIR, (2, 2, 2)), "expected 2 block sizes, got 3"),
+    (lambda: TreeVector.zeros(_PAIR, 0), "block sizes must be positive, got 0"),
 ], ids=["heads", "B-shape", "C-shape", "block-size-count", "gauge-levels", "ssm-maps",
         "ssm-interaction", "float-block-size", "float-block-size-list", "ragged-block-sizes",
         "float-heads", "vector-block-sizes", "vector-heads", "vector-non-finite", "no-A-levels",
@@ -306,10 +313,20 @@ _PAIR = build_perfect_tree(2, 2)  # two leaves under one root
         "heads-before-block-sizes", "node-counts-before-block-sizes",
         "block-sizes-before-non-finite", "complex-vector-level", "complex-A", "complex64-C",
         "complex-ssm-maps", "complex-ssm-interaction", "complex-gauge", "complex-leaf-inputs",
-        "float-seed", "bool-seed", "string-scale", "none-scale", "complex-scale"])
+        "float-seed", "bool-seed", "string-scale", "none-scale", "complex-scale", "0d-A",
+        "zeros-short-sizes", "zeros-long-sizes", "zeros-zero-size"])
 def test_shape_errors(call, fragment):
     with pytest.raises(ValueError, match=re.escape(fragment)):
         call()
+
+
+def test_zero_vector_takes_one_block_size_or_one_per_level():
+    tree = build_perfect_tree(2, 4)
+    for sizes, want in ((2, (2, 2, 2)), ((1, 3, 2), (1, 3, 2))):
+        v = TreeVector.zeros(tree, sizes, heads=3, batch=2, right_parts=4)
+        assert [a.shape for a in v.levels] == [
+            (2, 3, n, d, 4) for n, d in zip(tree.level_sizes, want)]
+        assert not any(a.any() for a in v.levels)
 
 
 def _assert_same_bytes(got, want):

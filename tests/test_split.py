@@ -1,10 +1,10 @@
-"""Level steps split over head ranges give the bytes of the serial steps.
+"""Block products split over head ranges give the bytes and strides of serial ones.
 
 Each comparison runs every call twice on fresh instances: once with
-``solver._SPLIT_WORK`` at 0, so every level of a system of four or more
-heads splits wherever this process may run on more than one core, and once
-at infinity, so none does.  Run on one core (``taskset -c 0``) both runs
-are serial.
+``solver._SPLIT_WORK`` at 0, so every product of a system of four or more
+heads, the factor's included, splits wherever this process may run on more
+than one core, and once at infinity, so none does.  Run on one core
+(``taskset -c 0``) both runs are serial.
 """
 
 import hashlib
@@ -25,7 +25,7 @@ from treesolve import (LayerConfig, LevelParams, TreeTopology, TreeVector, build
                        build_perfect_tree, build_quadtree, forward, solve, solve_transpose,
                        vjp)
 from treesolve.topology import GridShape
-from helpers import assert_identical, irregular_trees, random_params, random_rhs
+from helpers import arrays, assert_identical, irregular_trees, random_params, random_rhs
 
 SERIAL, SPLIT = float("inf"), 0
 
@@ -48,11 +48,13 @@ def _calls(params, tree, u, x, g):
 
 
 def _both(monkeypatch, run):
-    """``run()`` serially, then split; asserts equal bytes and returns the serial result."""
+    """``run()`` serially, then split; asserts equal bytes and strides; returns the serial run."""
     monkeypatch.setattr(solver, "_SPLIT_WORK", SERIAL)
     want = run()
     monkeypatch.setattr(solver, "_SPLIT_WORK", SPLIT)
-    assert_identical(run(), want)
+    got = run()
+    assert_identical(got, want)
+    assert [a.strides for a in arrays(got)] == [a.strides for a in arrays(want)]
     return want
 
 
@@ -141,18 +143,34 @@ def test_layer_forward_and_memory_orders(monkeypatch, cores, order):
     _both(monkeypatch, lambda: _calls(params, tree, relaid(u), relaid(x), relaid(g)))
 
 
+def _ranges(heads: int):
+    """The head ranges into which ``solver._split`` cuts a kernel, or None if it runs it whole."""
+    seen = []
+
+    def kernel(a, *, out=None):  # each head's entry is its index
+        if out is None:
+            return a.copy()
+        seen.append((int(a[0, 0, 0, 0]), int(a[-1, 0, 0, 0]) + 1))
+        out[...] = a
+        return out
+
+    a = np.arange(heads, dtype=float).reshape(heads, 1, 1, 1) * np.ones((1, 3, 1, 1))
+    assert_identical(solver._split(kernel, a), a)
+    return sorted(seen) or None
+
+
 def test_ranges_hold_two_heads_or_more(monkeypatch):
     monkeypatch.setattr(solver, "_cores", 1)
-    assert solver._head_ranges(4) is None
+    assert _ranges(4) is None
     monkeypatch.setattr(solver, "_cores", 8)
-    assert [solver._head_ranges(h) for h in (1, 2, 3)] == [None] * 3
-    assert solver._head_ranges(5) == [(0, 2), (2, 5)]
+    assert [_ranges(h) for h in (1, 2, 3)] == [None] * 3
+    assert _ranges(5) == [(0, 2), (2, 5)]
     monkeypatch.setattr(solver, "_cores", 3)
-    assert solver._head_ranges(7) == [(0, 2), (2, 4), (4, 7)]
-    assert solver._head_ranges(16) == [(0, 5), (5, 10), (10, 16)]
+    assert _ranges(7) == [(0, 2), (2, 4), (4, 7)]
+    assert _ranges(16) == [(0, 5), (5, 10), (10, 16)]
     monkeypatch.setattr(solver, "_cores", None)  # read again, from this process's affinity
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    assert (solver._head_ranges(4) is None) == (cores == 1)
+    assert (_ranges(4) is None) == (cores == 1)
 
 
 def test_split_work_stays_on_numpy_off_the_calling_thread(monkeypatch):
@@ -162,14 +180,14 @@ def test_split_work_stays_on_numpy_off_the_calling_thread(monkeypatch):
     monkeypatch.setattr(solver, "_cores", 2)
     seen = []
     for name in ("segment_sum", "upward_step", "downward_step", "downward_sweep",
-                 "upward_sweep", "solve", "solve_transpose", "transpose_params", "_run_split"):
+                 "upward_sweep", "solve", "solve_transpose", "transpose_params", "_split"):
         fn = getattr(solver, name)
         monkeypatch.setattr(solver, name, lambda *a, _fn=fn, _name=name, **k: (
             seen.append((_name, threading.get_ident())), _fn(*a, **k))[1])
     tree = build_perfect_tree(4, 16)
     params, u, x, g = _system(tree, 2, 4, batch=2, r=1, seed=3)
     _calls(params, tree, u, x, g)
-    assert {name for name, _ in seen} >= {"_run_split", "segment_sum", "downward_step"}
+    assert {name for name, _ in seen} >= {"_split", "segment_sum", "downward_step"}
     assert {ident for _, ident in seen} == {threading.get_ident()}
 
 
