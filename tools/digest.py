@@ -133,10 +133,10 @@ def small_groups():
         sizes = [d] * tree.depth if np.isscalar(d) else list(d)
         params = _nonsymmetric(rng, tree, sizes, heads)
         u, g = (_vector(rng, tree, sizes, heads, 2, r, zero) for _ in range(2))
-        label = f"{name} d={d} r={r} heads={heads}" + (f" zero-below={zero}" if zero else "")
-        yield from system_groups(label.replace(" ", "/"), tree, params, u, g)
+        label = f"{name}/d={d}/r={r}/heads={heads}" + (f"/zero-below={zero}" if zero else "")
+        yield from system_groups(label, tree, params, u, g)
         if name.startswith("perfect") and r == 1 and not zero:
-            yield from forward_groups(label.replace(" ", "/"), tree, params,
+            yield from forward_groups(label, tree, params,
                                       rng.standard_normal((2, tree.level_sizes[0], sizes[0])))
 
 
