@@ -9,7 +9,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .params import BlockGrads, LevelParams, TreeVector, _flat, _unflat
+from .params import BlockGrads, LevelParams, TreeVector, _flat, _recurrence_shape, _unflat
 from .topology import TreeTopology, _float64, _integer, dfs_postorder_perm
 
 __all__ = [
@@ -110,12 +110,14 @@ def ssm_reference(interaction: np.ndarray, input_maps: np.ndarray,
                   u: np.ndarray) -> np.ndarray:
     """Sequential state recurrence x_1 = S_1 u_1, x_k = I_{k-1} x_{k-1} + S_k u_k.
 
-    ``input_maps`` S: (L, d, d), ``interaction`` I: (L-1, d, d), u: (L, d, r).
+    ``input_maps`` S: (L, d, d), ``interaction`` I: (L-1, d, d), u: (L, d, r), else ValueError.
     """
     S = _float64(input_maps, "input maps")
     I = _float64(interaction, "interaction")
     u = _float64(u, "right part")
-    L = S.shape[0]
+    L, d = _recurrence_shape(S, I)
+    if u.ndim != 3 or u.shape[:2] != (L, d):
+        raise ValueError(f"right part must be ({L}, {d}, r), got {u.shape}")
     x = np.empty_like(u)
     x[0] = S[0] @ u[0]
     for k in range(1, L):
@@ -173,7 +175,10 @@ def tridiag_bidiagonal_factor(diag: np.ndarray, sub: np.ndarray,
     diag = _float64(diag, "diagonal blocks")
     sub = _float64(sub, "subdiagonal blocks")
     sup = _float64(sup, "superdiagonal blocks")
-    L = diag.shape[-3]
+    L, d = diag.shape[-3], diag.shape[-1]
+    for what, m in (("subdiagonal", sub), ("superdiagonal", sup)):
+        if m.shape[-3:] != (L - 1, d, d):
+            raise ValueError(f"{what} blocks must be (..., {L - 1}, {d}, {d}), got {m.shape}")
     u_diag = np.empty_like(diag)
     l_sub = np.empty_like(sub)
     u_diag[..., 0, :, :] = diag[..., 0, :, :]
@@ -193,10 +198,12 @@ def tridiag_bidiagonal_factor(diag: np.ndarray, sub: np.ndarray,
 
 
 def bidiagonal_solve(factors: BidiagonalFactors, u: np.ndarray) -> np.ndarray:
-    """Solve T x = u by a forward sweep on L and a backward sweep on U."""
+    """Solve T x = u, u (..., L, d, r), by a forward sweep on L and a backward one on U."""
     l_sub, u_diag, u_sup = factors
     u = _float64(u, "right part")
-    L = u_diag.shape[-3]
+    L, d = u_diag.shape[-3], u_diag.shape[-1]
+    if u.ndim < 3 or u.shape[-3:-1] != (L, d):
+        raise ValueError(f"right part must be (..., {L}, {d}, r), got {u.shape}")
     y = np.empty_like(u)
     y[..., 0, :, :] = u[..., 0, :, :]
     for k in range(1, L):

@@ -213,6 +213,9 @@ class TreeVector:
         return max(float(np.max(np.abs(v))) for v in self.levels)
 
     def __sub__(self, other: "TreeVector") -> "TreeVector":
+        mine, theirs = ([v.shape for v in t.levels] for t in (self, other))
+        if mine != theirs:
+            raise ValueError(f"cannot subtract levels shaped {theirs} from {mine}")
         return TreeVector(tuple(a - b for a, b in zip(self.levels, other.levels)))
 
 
@@ -299,6 +302,16 @@ def scale_rhs(u: TreeVector, gauge) -> TreeVector:
                             for l, (g, v) in enumerate(zip(levels, u.levels))))
 
 
+def _recurrence_shape(S: np.ndarray, I: np.ndarray) -> tuple[int, int]:
+    """(L, d) of input maps S (L, d, d) and interaction I (L-1, d, d), else ValueError."""
+    if S.ndim != 3 or S.shape[-1] != S.shape[-2] or min(S.shape) < 1:
+        raise ValueError(f"input maps must be (L, d, d) with L, d >= 1, got {S.shape}")
+    L, d = S.shape[0], S.shape[-1]
+    if I.shape != (L - 1, d, d) and not (L == 1 and I.size == 0):
+        raise ValueError(f"interaction must be ({L - 1}, {d}, {d}), got {I.shape}")
+    return L, d
+
+
 def ssm_to_chain(interaction: np.ndarray, input_maps: np.ndarray) -> LevelParams:
     """Chain parameters whose solve reproduces a causal linear state recurrence.
 
@@ -310,11 +323,7 @@ def ssm_to_chain(interaction: np.ndarray, input_maps: np.ndarray) -> LevelParams
     """
     S = _float64(input_maps, "input maps")
     I = _float64(interaction, "interaction")
-    if S.ndim != 3 or S.shape[-1] != S.shape[-2] or min(S.shape) < 1:
-        raise ValueError(f"input maps must be (L, d, d) with L, d >= 1, got {S.shape}")
-    L, d = S.shape[0], S.shape[-1]
-    if I.shape != (L - 1, d, d) and not (L == 1 and I.size == 0):
-        raise ValueError(f"interaction must be ({L - 1}, {d}, {d}), got {I.shape}")
+    L, d = _recurrence_shape(S, I)
     for what, m in (("input map", S), ("interaction", I)):
         bad = np.flatnonzero(~np.isfinite(m))
         if bad.size:

@@ -13,25 +13,11 @@ node) blocks of its level.  The parameter half is built once per
 solve eliminates only its right part against it.  Parameters and factors
 are read-only, so concurrent solves are safe.
 
-Heads are independent systems, and every level step is a batch of per-head
-block products: :func:`_block_product` (the factor's ``inv @ B`` and
-``C @ b_hat``, the right part's ``inv @ u`` and ``C @ u_hat``, and
-back-substitution with its addend) and :func:`vjp`'s outer products.  A
-product whose work (output elements times contracted size) reaches
-``_SPLIT_WORK`` runs on contiguous ranges of two or more heads at once
-(:func:`_split`): one range on the calling thread, the others on a private
-pool with one thread fewer than the cores this process may run on
-(``os.sched_getaffinity``, read once).  ``invert_level`` does not split, so
-a singular block is named as on one thread.  A smaller product, one core or
-fewer than four heads run on the calling thread alone.  Each range writes
-its heads' slice of an output laid out as the serial call lays out its own,
-with the same per-block operations, so every output is bit for bit a serial
-run's.  The pool is made on the first split; a forked child drops its
-parent's and makes its own.
+A level step's large per-head block products run on ranges of heads at
+once, bit for bit a serial run's; :func:`_split` holds the rules.
 """
 
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple, Optional
 
@@ -78,19 +64,22 @@ class SolveStats(NamedTuple):
 # handing a range to the pool costs more than it saves; from 2**18 it gained
 # or broke even at all three.
 _SPLIT_WORK = 1 << 18
-_pool = None  # the split's threads, made on first use
-_cores = None  # the cores this process may run on, read on first use
-_pool_lock = threading.Lock()
 
 
-def _forget_pool():
-    """In a forked child: the parent's pool threads do not exist here."""
-    global _pool, _cores, _pool_lock
-    _pool, _cores, _pool_lock = None, None, threading.Lock()
+def _cores() -> int:
+    """The cores this process may run on now."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
+def _new_pool():
+    """Make the split's pool, at import and in a forked child; no thread starts until a split."""
+    global _pool
+    _pool = ThreadPoolExecutor(max(_cores() - 1, 1), thread_name_prefix="treesolve")
+
+
+_new_pool()
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
+    os.register_at_fork(after_in_child=_new_pool)
 
 
 def _split(kernel, *operands) -> np.ndarray:
@@ -104,26 +93,20 @@ def _split(kernel, *operands) -> np.ndarray:
     per range into ``np.empty_like`` of the kernel's result on two-node slices
     of the operands: numpy lays out what it allocates, and ``einsum`` orders
     its sum, by its operands' strides and by which axes have length 1, so that
-    is the whole call's layout.  The first range runs on this thread.
-    Kernels call only numpy: they never submit to the pool, so calls from
-    many threads cannot deadlock, and no name that a tracer may wrap runs off
-    the calling thread.
+    is the whole call's layout.  The first range runs on this thread, the
+    others on the pool.  The cores are read at every call, so an affinity
+    change takes effect at the next split.  ``invert_level`` never splits, so
+    a singular block is named as on one thread.  Kernels call only numpy:
+    they never submit to the pool, so calls from many threads cannot
+    deadlock, and no name that a tracer may wrap runs off the calling thread.
     """
-    global _cores, _pool
-    if _cores is None:
-        _cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (
-            os.cpu_count() or 1)
     heads = operands[0].shape[-4]
-    n = min(_cores, heads // 2)
+    n = min(_cores(), heads // 2)
     if n < 2:
         return kernel(*operands)
     probe = kernel(*(x[..., :2, :, :] for x in operands))
     out = np.empty_like(probe, shape=probe.shape[:-3] + operands[0].shape[-3:-2]
                         + probe.shape[-2:])
-    if _pool is None:
-        with _pool_lock:
-            if _pool is None:
-                _pool = ThreadPoolExecutor(max(_cores - 1, 1), thread_name_prefix="treesolve")
 
     def run(h0, h1):
         kernel(*(x[..., h0:h1, :, :, :] for x in operands), out=out[..., h0:h1, :, :, :])

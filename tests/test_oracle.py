@@ -256,6 +256,20 @@ class TestBidiagonalFactorization:
         x = bidiagonal_solve(tridiag_bidiagonal_factor(diag, sub, sup), u)
         np.testing.assert_allclose(x, np.linalg.solve(a, u), rtol=1e-13, atol=0)
 
+    def test_right_part_broadcasts_over_leading_axes(self):
+        # (batch, heads, L, d, r) right parts against (heads, L, d, d) factors
+        rng = np.random.default_rng(10)
+        diag = 2 * np.eye(2) + 0.1 * rng.uniform(-1, 1, (3, 4, 2, 2))
+        sub, sup = (0.3 * rng.uniform(-1, 1, (3, 3, 2, 2)) for _ in range(2))
+        u = rng.standard_normal((2, 3, 4, 2, 2))
+        x = bidiagonal_solve(tridiag_bidiagonal_factor(diag, sub, sup), u)
+        for h in range(3):
+            m = self.dense_tridiag(diag[h], sub[h], sup[h])
+            for b in range(2):
+                np.testing.assert_allclose(x[b, h].reshape(8, 2),
+                                           np.linalg.solve(m, u[b, h].reshape(8, 2)),
+                                           rtol=1e-12, atol=1e-12)
+
     def test_reconstruction_long_chain(self):
         rng = np.random.default_rng(64)
         L = 64
@@ -299,7 +313,38 @@ class TestBidiagonalFactorization:
      "uniform block size required, got (1, 2)"),
     (lambda: chain_inverse_entry(np.ones((2, 2)), 1, 1),
      "subdiagonal blocks must be (L-1, d, d), got (2, 2)"),
-], ids=["not-a-chain", "mixed-block-sizes", "2d-blocks"])
+    # a longer right part once left its last rows uninitialised
+    (lambda: ssm_reference(np.zeros((2, 1, 1)), np.ones((3, 1, 1)), np.ones((5, 1, 1))),
+     "right part must be (3, 1, r), got (5, 1, 1)"),
+    (lambda: ssm_reference(np.zeros((2, 1, 1)), np.ones((3, 1, 1)), np.ones((3, 2, 1))),
+     "right part must be (3, 1, r), got (3, 2, 1)"),
+    (lambda: ssm_reference(np.zeros((2, 1, 1)), np.ones((3, 1, 1)), np.ones((3, 1))),
+     "right part must be (3, 1, r), got (3, 1)"),
+    (lambda: ssm_reference(np.zeros((3, 1, 1)), np.ones((3, 1, 1)), np.ones((3, 1, 1))),
+     "interaction must be (2, 1, 1), got (3, 1, 1)"),
+    (lambda: ssm_reference(np.zeros((2, 1, 1)), np.ones((3, 1, 2)), np.ones((3, 1, 1))),
+     "input maps must be (L, d, d) with L, d >= 1, got (3, 1, 2)"),
+    (lambda: tridiag_bidiagonal_factor(2 * np.ones((3, 1, 1)), np.ones((4, 1, 1)),
+                                       np.ones((2, 1, 1))),
+     "subdiagonal blocks must be (..., 2, 1, 1), got (4, 1, 1)"),
+    (lambda: tridiag_bidiagonal_factor(2 * np.ones((3, 1, 1)), np.ones((1, 1, 1)),
+                                       np.ones((2, 1, 1))),
+     "subdiagonal blocks must be (..., 2, 1, 1), got (1, 1, 1)"),
+    (lambda: tridiag_bidiagonal_factor(2 * np.ones((3, 2, 2)), np.ones((2, 2, 2)),
+                                       np.ones((2, 1, 1))),
+     "superdiagonal blocks must be (..., 2, 2, 2), got (2, 1, 1)"),
+    (lambda: bidiagonal_solve(tridiag_bidiagonal_factor(2 * np.ones((3, 1, 1)),
+                                                        np.ones((2, 1, 1)), np.ones((2, 1, 1))),
+                              np.ones((5, 1, 1))),
+     "right part must be (..., 3, 1, r), got (5, 1, 1)"),
+    (lambda: bidiagonal_solve(tridiag_bidiagonal_factor(2 * np.ones((3, 1, 1)),
+                                                        np.ones((2, 1, 1)), np.ones((2, 1, 1))),
+                              np.ones((3, 1))),
+     "right part must be (..., 3, 1, r), got (3, 1)"),
+], ids=["not-a-chain", "mixed-block-sizes", "2d-blocks", "ssm-long-right-part",
+        "ssm-wide-right-part", "ssm-2d-right-part", "ssm-long-interaction", "ssm-nonsquare-maps",
+        "tridiag-long-sub", "tridiag-short-sub", "tridiag-sup-block-size",
+        "bidiagonal-long-right-part", "bidiagonal-2d-right-part"])
 def test_chain_helpers_refuse_bad_shapes(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()

@@ -305,6 +305,12 @@ _PAIR = build_perfect_tree(2, 2)  # two leaves under one root
     (lambda: TreeVector.zeros(_PAIR, (2,)), "expected 2 block sizes, got 1"),
     (lambda: TreeVector.zeros(_PAIR, (2, 2, 2)), "expected 2 block sizes, got 3"),
     (lambda: TreeVector.zeros(_PAIR, 0), "block sizes must be positive, got 0"),
+    # zip would cut the deeper vector short, and numpy would broadcast batch 1
+    (lambda: TreeVector.zeros(_PAIR, 1) - TreeVector((np.zeros((1, 1, 2, 1, 1)),)),
+     "cannot subtract levels shaped [(1, 1, 2, 1, 1)] from [(1, 1, 2, 1, 1), (1, 1, 1, 1, 1)]"),
+    (lambda: TreeVector.zeros(_PAIR, 1, batch=2) - TreeVector.zeros(_PAIR, 1),
+     "cannot subtract levels shaped [(1, 1, 2, 1, 1), (1, 1, 1, 1, 1)] "
+     "from [(2, 1, 2, 1, 1), (2, 1, 1, 1, 1)]"),
 ], ids=["heads", "B-shape", "C-shape", "block-size-count", "gauge-levels", "ssm-maps",
         "ssm-interaction", "float-block-size", "float-block-size-list", "ragged-block-sizes",
         "float-heads", "vector-block-sizes", "vector-heads", "vector-non-finite", "no-A-levels",
@@ -314,7 +320,7 @@ _PAIR = build_perfect_tree(2, 2)  # two leaves under one root
         "block-sizes-before-non-finite", "complex-vector-level", "complex-A", "complex64-C",
         "complex-ssm-maps", "complex-ssm-interaction", "complex-gauge", "complex-leaf-inputs",
         "float-seed", "bool-seed", "string-scale", "none-scale", "complex-scale", "0d-A",
-        "zeros-short-sizes", "zeros-long-sizes", "zeros-zero-size"])
+        "zeros-short-sizes", "zeros-long-sizes", "zeros-zero-size", "sub-depth", "sub-batch"])
 def test_shape_errors(call, fragment):
     with pytest.raises(ValueError, match=re.escape(fragment)):
         call()

@@ -11,6 +11,7 @@ import hashlib
 import os
 import select
 import signal
+import subprocess
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -20,6 +21,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import treesolve
 import treesolve.solver as solver
 from treesolve import (LayerConfig, LevelParams, TreeTopology, TreeVector, build_chain,
                        build_perfect_tree, build_quadtree, forward, solve, solve_transpose,
@@ -62,7 +64,7 @@ def _both(monkeypatch, run):
 def cores(request, monkeypatch):
     """The cores this process may run on, or three whatever it may: 7 heads split 2, 2, 3."""
     if request.param == "3-cores":
-        monkeypatch.setattr(solver, "_cores", 3)
+        monkeypatch.setattr(solver, "_cores", lambda: 3)
 
 
 def _system(tree, d, heads, batch, r, seed, zero_below=0, x_batch=None):
@@ -160,24 +162,46 @@ def _ranges(heads: int):
 
 
 def test_ranges_hold_two_heads_or_more(monkeypatch):
-    monkeypatch.setattr(solver, "_cores", 1)
+    monkeypatch.setattr(solver, "_cores", lambda: 1)
     assert _ranges(4) is None
-    monkeypatch.setattr(solver, "_cores", 8)
+    monkeypatch.setattr(solver, "_cores", lambda: 8)
     assert [_ranges(h) for h in (1, 2, 3)] == [None] * 3
     assert _ranges(5) == [(0, 2), (2, 5)]
-    monkeypatch.setattr(solver, "_cores", 3)
+    monkeypatch.setattr(solver, "_cores", lambda: 3)
     assert _ranges(7) == [(0, 2), (2, 4), (4, 7)]
     assert _ranges(16) == [(0, 5), (5, 10), (10, 16)]
-    monkeypatch.setattr(solver, "_cores", None)  # read again, from this process's affinity
+    monkeypatch.undo()  # read again, from this process's affinity
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     assert (_ranges(4) is None) == (cores == 1)
+
+
+def test_importing_starts_no_thread():
+    src = os.path.dirname(os.path.dirname(treesolve.__file__))
+    run = subprocess.run([sys.executable, "-c", "import threading, treesolve; "
+                          "print([t.name for t in threading.enumerate()])"],
+                         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "['MainThread']"
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs os.sched_setaffinity and two cores")
+def test_narrowed_affinity_takes_effect_at_the_next_split():
+    allowed = os.sched_getaffinity(0)
+    assert _ranges(4) == [(0, 2), (2, 4)]
+    try:
+        os.sched_setaffinity(0, {min(allowed)})
+        assert _ranges(4) is None
+    finally:
+        os.sched_setaffinity(0, allowed)
+    assert _ranges(4) == [(0, 2), (2, 4)]
 
 
 def test_split_work_stays_on_numpy_off_the_calling_thread(monkeypatch):
     # a tracer wraps the module's named steps and keeps one span stack, so each
     # must run on the calling thread; a task that submitted again could deadlock
     monkeypatch.setattr(solver, "_SPLIT_WORK", SPLIT)
-    monkeypatch.setattr(solver, "_cores", 2)
+    monkeypatch.setattr(solver, "_cores", lambda: 2)
     seen = []
     for name in ("segment_sum", "upward_step", "downward_step", "downward_sweep",
                  "upward_sweep", "solve", "solve_transpose", "transpose_params", "_split"):
@@ -192,14 +216,15 @@ def test_split_work_stays_on_numpy_off_the_calling_thread(monkeypatch):
 
 
 def test_concurrent_calls_on_one_instance(monkeypatch, cores):
-    # more callers than cores, switching often, on an instance and a pool that
-    # none of them has made yet: every result still equals the serial one
+    # more callers than cores, switching often, on an instance and a pool whose
+    # threads none of them has started yet: every result still equals the serial one
     tree = build_perfect_tree(4, 64)
     params, u, x, g = _system(tree, 2, 4, batch=3, r=2, seed=11)
     monkeypatch.setattr(solver, "_SPLIT_WORK", SERIAL)
     want = (solve(params, tree, u), vjp(params, tree, u, x, g))
     monkeypatch.setattr(solver, "_SPLIT_WORK", SPLIT)
-    monkeypatch.setattr(solver, "_pool", None)
+    monkeypatch.setattr(solver, "_pool", solver._pool)  # restored after a new one is made here
+    solver._new_pool()
     shared = _fresh(params)
     calls = [lambda: solve(shared, tree, u), lambda: vjp(shared, tree, u, x, g)] * 2
     start = threading.Barrier(len(calls), timeout=30)

@@ -5,13 +5,21 @@ Run from a checkout's root with that checkout's package on the path:
     PYTHONPATH=src python tools/digest.py
 
 Each group is one call on one system; its digest covers every output
-array's dtype, shape and bytes, in order.  The calls are ``solve`` and
-``solve_transpose`` on a factor miss and on a hit, ``vjp`` with the batch-8
-(or batch-2) solution and with a batch-1 one, and ``layer.forward`` under
-both virtual-node policies.  The systems are the four benchmark workloads'
-full-size shapes (4 heads, batch 8) and the small trees of
-``tests/test_split.py`` at block sizes 1, 2, 4 and 16, one to three right
-parts, and 4 and 5 heads.
+array's dtype, shape and bytes, in order.  On each system the calls are
+``solve`` and ``solve_transpose`` on a factor miss and on a hit, ``vjp``
+with the batch-8 (or batch-2) solution and with a batch-1 one, and
+``solve_with_stats`` with its three counters; on perfect trees and the
+image also ``layer.forward`` and ``build_input`` under both virtual-node
+policies and ``aggregate_topk`` of the top 1 and 2 levels.  The systems are
+the four benchmark workloads' full-size shapes (4 heads, batch 8); the
+small trees of ``tests/test_split.py`` at block sizes 1, 2, 4 and 16, one to
+three right parts, and 4 and 5 heads; 9-ary, 16-ary, branching, 7-chain,
+(2, 1, 3, 2)-sized and seeded 4000-leaf irregular trees with
+``init_random_stable`` blocks of seeds 0 and 1; and all-zero right parts,
+negated diagonals and zero couplings.  Further groups hold
+``init_random_stable``'s blocks, the chain workload's ``ssm_to_chain``
+system and ``bidirectional_chain_forward``, ``write_problem``'s file bytes
+and ``read_problem``'s arrays, and ``finite_diff_grad`` on a tiny problem.
 
 No digest is stored as an expected value, because another BLAS may round
 differently.  Compare two runs on one machine instead: the same script run
@@ -20,14 +28,18 @@ against two checkouts' packages, or this checkout unpinned and under
 """
 
 import hashlib
+import os
 import sys
+import tempfile
 
 import numpy as np
 
 import treesolve
-from treesolve import (LayerConfig, LevelParams, TreeTopology, TreeVector, build_chain,
-                       build_perfect_tree, build_quadtree, forward, init_random_stable, solve,
-                       solve_transpose, vjp)
+from treesolve import (LayerConfig, LevelParams, TreeTopology, TreeVector, aggregate_topk,
+                       build_chain, build_perfect_tree, build_quadtree, finite_diff_grad, forward,
+                       init_random_stable, read_problem, solve, solve_transpose, solve_with_stats,
+                       ssm_to_chain, vjp, write_problem)
+from treesolve.layer import bidirectional_chain_forward, build_input
 from treesolve.topology import GridShape
 
 HEADS, BATCH, COUPLING = 4, 8, 0.9  # the benchmark's set-up
@@ -85,13 +97,19 @@ def system_groups(name, tree, params, u, g):
     yield f"{name} vjp batch-{u.batch} miss", _arrays(vjp(fresh, tree, u, x, g))
     yield f"{name} vjp batch-{u.batch} hit", _arrays(vjp(params, tree, u, x, g))
     yield f"{name} vjp batch-1", _arrays(vjp(params, tree, u, x1, g))
+    x, stats = solve_with_stats(params, tree, u)
+    yield f"{name} solve_with_stats", _arrays(x) + [np.array(stats)]
 
 
 def forward_groups(name, tree, params, leaf):
     for policy in ("zeros", "mean"):
         config = LayerConfig(tree, params.block_sizes, params.heads, policy)
-        yield f"{name} forward {policy}", _arrays(
-            forward(config, LevelParams(params.A, params.B, params.C), leaf))
+        x = forward(config, LevelParams(params.A, params.B, params.C), leaf)
+        yield f"{name} forward {policy}", _arrays(x)
+        yield f"{name} build_input {policy}", _arrays(build_input(config, leaf))
+        for top in (1, 2):
+            config = LayerConfig(tree, params.block_sizes, params.heads, policy, top)
+            yield f"{name} aggregate_topk {policy} top-{top}", [aggregate_topk(x, config)]
 
 
 def workload_groups():
@@ -140,11 +158,121 @@ def small_groups():
                                       rng.standard_normal((2, tree.level_sizes[0], sizes[0])))
 
 
+def _irregular_tree(seed: int, leaves: int = 4000) -> TreeTopology:
+    """Grown from the root: 0 to 7 children per node, then about ``leaves`` leaves in all."""
+    rng = np.random.default_rng(seed)
+    level_sizes, split_sizes = [1], []
+    while True:
+        n = level_sizes[0]
+        last = 8 * n > leaves  # the leaf level: leaves / n children per node on average
+        groups = rng.integers(0, 2 * leaves // n + 1 if last else 8, n)
+        groups[0] = max(groups[0], 1)  # the new level is never empty
+        split_sizes.insert(0, tuple(int(k) for k in groups))
+        level_sizes.insert(0, int(groups.sum()))
+        if last:
+            return TreeTopology(tuple(level_sizes), tuple(split_sizes))
+
+
+TREES = {
+    "perfect-9x81": lambda: build_perfect_tree(9, 81),  # groups of 9 sum by reduceat
+    "perfect-16x256": lambda: build_perfect_tree(16, 256),
+    "branching": lambda: TreeTopology((6, 3, 3, 2, 2, 1),
+                                      ((2, 1, 3), (1, 1, 1), (2, 1), (1, 1), (2,))),
+    "chain-7": lambda: build_chain(7),
+    "irregular-4000": lambda: _irregular_tree(0),
+}
+
+
+def tree_groups():
+    """More trees and a mixed-size one, with ``init_random_stable`` blocks of seeds 0 and 1."""
+    cases = [(name, make(), d) for name, make in TREES.items() for d in (1, 2, 4)]
+    cases.append(("childless", SMALL_TREES["childless"](), (2, 1, 3, 2)))
+    for name, tree, d in cases:
+        for seed in (0, 1):
+            params = init_random_stable(tree, d, HEADS, seed, COUPLING)
+            rng = np.random.default_rng(seed)
+            for r in (1, 3):
+                u, g = (_vector(rng, tree, params.block_sizes, HEADS, 2, r) for _ in range(2))
+                label = f"{name}/d={d}/r={r}/seed={seed}"
+                yield from system_groups(label, tree, LevelParams(params.A, params.B, params.C),
+                                         u, g)
+
+
+def special_groups():
+    """All-zero right parts, negated diagonals and zero couplings, on nonsymmetric blocks."""
+    for name, tree, d in (("perfect-4x16", build_perfect_tree(4, 16), 1),
+                          ("perfect-4x16", build_perfect_tree(4, 16), 4),
+                          ("mixed-1-3-2", TreeTopology((3, 2, 1), ((2, 1), (2,))), (1, 3, 2))):
+        rng = np.random.default_rng(0)
+        sizes = [d] * tree.depth if np.isscalar(d) else list(d)
+        p = _nonsymmetric(rng, tree, sizes, HEADS)
+        u, g = (_vector(rng, tree, sizes, HEADS, 2, 2) for _ in range(2))
+        zero = TreeVector(tuple(np.zeros_like(a) for a in u.levels))
+        label = f"{name}/d={d}"
+        yield from system_groups(f"{label}/zero-right-part", tree, p, zero, g)
+        yield from system_groups(f"{label}/negated-diagonal", tree,
+                                 LevelParams(tuple(-a for a in p.A), p.B, p.C), u, g)
+        zeros = lambda blocks: tuple(np.zeros_like(b) for b in blocks)
+        yield from system_groups(f"{label}/zero-coupling", tree,
+                                 LevelParams(p.A, zeros(p.B), zeros(p.C)), u, g)
+
+
+def init_groups():
+    """``init_random_stable``'s blocks at d = 1, 4 and 16 and at sizes (1, 3, 2)."""
+    for name, tree, d in (*(("perfect-4x16", build_perfect_tree(4, 16), d) for d in (1, 4, 16)),
+                          ("mixed-1-3-2", TreeTopology((3, 2, 1), ((2, 1), (2,))), (1, 3, 2))):
+        for seed in (0, 1):
+            p = init_random_stable(tree, d, HEADS, seed, COUPLING)
+            yield f"init_random_stable {name}/d={d}/seed={seed}", _arrays((p.A, p.B, p.C))
+
+
+def chain_groups():
+    """The chain workload's shape (1024 levels, d = 4), built as treebench's set-up builds it."""
+    n, d = 1024, 4
+    tree = build_chain(n)
+    rng = np.random.default_rng([0, 3])
+    q, _ = np.linalg.qr(rng.standard_normal((n - 1, d, d)))
+    ssm = ssm_to_chain(0.5 * q, np.eye(d) + 0.1 / np.sqrt(d) * rng.standard_normal((n, d, d)))
+    yield "chain-d4 ssm_to_chain", _arrays((ssm.A, ssm.B, ssm.C))
+    u = np.random.default_rng([0, 4]).standard_normal((n, d, 2))
+    yield "chain-d4 ssm_to_chain solve", _arrays(
+        solve(ssm, tree, TreeVector(tuple(u[k][None, None, None] for k in range(n)))))
+    params = init_random_stable(tree, d, HEADS, 0, COUPLING)
+    u = _vector(np.random.default_rng(0), tree, params.block_sizes, HEADS, BATCH, 1)
+    yield "chain-d4 bidirectional_chain_forward", _arrays(bidirectional_chain_forward(params, u))
+
+
+def problem_groups():
+    """``write_problem``'s file bytes and ``read_problem``'s arrays; ``finite_diff_grad``."""
+    for name, tree, d in (("perfect-4x16", build_perfect_tree(4, 16), 2),
+                          ("mixed-1-3-2", TreeTopology((3, 2, 1), ((2, 1), (2,))), (1, 3, 2))):
+        rng = np.random.default_rng(0)
+        sizes = [d] * tree.depth if np.isscalar(d) else list(d)
+        params = _nonsymmetric(rng, tree, sizes, 2)
+        u = _vector(rng, tree, sizes, 2, 2, 2)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "problem.bin")
+            write_problem(path, tree, params, u)
+            with open(path, "rb") as f:
+                yield f"{name} write_problem", [np.frombuffer(f.read(), np.uint8)]
+            _, read, v = read_problem(path)
+        yield f"{name} read_problem", _arrays((read.A, read.B, read.C, v))
+    tree = build_perfect_tree(2, 2)
+    rng = np.random.default_rng(0)
+    params = _nonsymmetric(rng, tree, [2, 2], 1)
+    w = _vector(rng, tree, [2, 2], 1, 1, 2)
+    loss = lambda x: float(sum(np.sum(a * b) for a, b in zip(x.levels, w.levels)))
+    yield "perfect-2x2 finite_diff_grad", _arrays(
+        finite_diff_grad(params, tree, _vector(rng, tree, [2, 2], 1, 1, 2), loss))
+
+
 def main() -> None:
     print(f"treesolve from {treesolve.__file__}", file=sys.stderr)
     digests = {}
-    for groups in (workload_groups(), small_groups()):
+    for groups in (workload_groups(), small_groups(), tree_groups(), special_groups(),
+                   init_groups(), chain_groups(), problem_groups()):
         for name, arrays in groups:
+            assert name not in digests, f"two groups named {name!r}"
             digests[name] = digest(arrays)
             print(f"{digests[name]}  {name}")
     print(f"{total(digests)}  total of {len(digests)} groups")
