@@ -13,9 +13,10 @@ image also ``layer.forward`` and ``build_input`` under both virtual-node
 policies and ``aggregate_topk`` of the top 1 and 2 levels.  The systems are
 the four benchmark workloads' full-size shapes (4 heads, batch 8); the
 small trees of ``tests/test_split.py`` at block sizes 1, 2, 4 and 16, one to
-three right parts, and 4 and 5 heads; 9-ary, 16-ary, branching, 7-chain,
-(2, 1, 3, 2)-sized and seeded 4000-leaf irregular trees with
-``init_random_stable`` blocks of seeds 0 and 1; and all-zero right parts,
+three right parts, and 4 and 5 heads; 9-ary, 16-ary, branching and 7-chain
+trees, the childless tree at sizes (2, 1, 3, 2) and a seeded irregular tree
+of about 4000 leaves, with ``init_random_stable`` blocks of seeds 0 and 1;
+and all-zero right parts,
 negated diagonals and zero couplings.  Further groups hold
 ``init_random_stable``'s blocks, the chain workload's ``ssm_to_chain``
 system and ``bidirectional_chain_forward``, ``write_problem``'s file bytes
@@ -128,6 +129,7 @@ def workload_groups():
             yield from forward_groups(name, tree, params, leaf)
 
 
+MIXED = TreeTopology((3, 2, 1), ((2, 1), (2,)))  # block sizes (1, 3, 2): B and C differ in shape
 SMALL_TREES = {
     "perfect-4x16": lambda: build_perfect_tree(4, 16),
     "perfect-4x64": lambda: build_perfect_tree(4, 64),
@@ -142,7 +144,7 @@ def small_groups():
     """The small trees of the head-split tests, nonsymmetric blocks, batch 2."""
     cases = [(name, make(), d, r, heads, 0) for name, make in SMALL_TREES.items()
              for d in (1, 2, 4, 16) for r in (1, 2, 3) for heads in (4, 5)]
-    cases += [("mixed-1-3-2", TreeTopology((3, 2, 1), ((2, 1), (2,))), (1, 3, 2), r, heads, 0)
+    cases += [("mixed-1-3-2", MIXED, (1, 3, 2), r, heads, 0)
               for r in (1, 2, 3) for heads in (4, 5)]
     cases += [("perfect-4x64", build_perfect_tree(4, 64), 2, 2, heads, zero)
               for zero in (1, 2, 3) for heads in (4, 5)]
@@ -189,20 +191,18 @@ def tree_groups():
     cases.append(("childless", SMALL_TREES["childless"](), (2, 1, 3, 2)))
     for name, tree, d in cases:
         for seed in (0, 1):
-            params = init_random_stable(tree, d, HEADS, seed, COUPLING)
             rng = np.random.default_rng(seed)
-            for r in (1, 3):
+            for r in (1, 3):  # a new instance each time, so each "miss" misses
+                params = init_random_stable(tree, d, HEADS, seed, COUPLING)
                 u, g = (_vector(rng, tree, params.block_sizes, HEADS, 2, r) for _ in range(2))
-                label = f"{name}/d={d}/r={r}/seed={seed}"
-                yield from system_groups(label, tree, LevelParams(params.A, params.B, params.C),
-                                         u, g)
+                yield from system_groups(f"{name}/d={d}/r={r}/seed={seed}", tree, params, u, g)
 
 
 def special_groups():
     """All-zero right parts, negated diagonals and zero couplings, on nonsymmetric blocks."""
     for name, tree, d in (("perfect-4x16", build_perfect_tree(4, 16), 1),
                           ("perfect-4x16", build_perfect_tree(4, 16), 4),
-                          ("mixed-1-3-2", TreeTopology((3, 2, 1), ((2, 1), (2,))), (1, 3, 2))):
+                          ("mixed-1-3-2", MIXED, (1, 3, 2))):
         rng = np.random.default_rng(0)
         sizes = [d] * tree.depth if np.isscalar(d) else list(d)
         p = _nonsymmetric(rng, tree, sizes, HEADS)
@@ -220,7 +220,7 @@ def special_groups():
 def init_groups():
     """``init_random_stable``'s blocks at d = 1, 4 and 16 and at sizes (1, 3, 2)."""
     for name, tree, d in (*(("perfect-4x16", build_perfect_tree(4, 16), d) for d in (1, 4, 16)),
-                          ("mixed-1-3-2", TreeTopology((3, 2, 1), ((2, 1), (2,))), (1, 3, 2))):
+                          ("mixed-1-3-2", MIXED, (1, 3, 2))):
         for seed in (0, 1):
             p = init_random_stable(tree, d, HEADS, seed, COUPLING)
             yield f"init_random_stable {name}/d={d}/seed={seed}", _arrays((p.A, p.B, p.C))
@@ -245,7 +245,7 @@ def chain_groups():
 def problem_groups():
     """``write_problem``'s file bytes and ``read_problem``'s arrays; ``finite_diff_grad``."""
     for name, tree, d in (("perfect-4x16", build_perfect_tree(4, 16), 2),
-                          ("mixed-1-3-2", TreeTopology((3, 2, 1), ((2, 1), (2,))), (1, 3, 2))):
+                          ("mixed-1-3-2", MIXED, (1, 3, 2))):
         rng = np.random.default_rng(0)
         sizes = [d] * tree.depth if np.isscalar(d) else list(d)
         params = _nonsymmetric(rng, tree, sizes, 2)
@@ -272,7 +272,8 @@ def main() -> None:
     for groups in (workload_groups(), small_groups(), tree_groups(), special_groups(),
                    init_groups(), chain_groups(), problem_groups()):
         for name, arrays in groups:
-            assert name not in digests, f"two groups named {name!r}"
+            if name in digests:
+                raise ValueError(f"two groups named {name!r}")
             digests[name] = digest(arrays)
             print(f"{digests[name]}  {name}")
     print(f"{total(digests)}  total of {len(digests)} groups")
