@@ -173,6 +173,9 @@ def tridiag_bidiagonal_factor(diag: np.ndarray, sub: np.ndarray,
     blocking index.
     """
     diag = _float64(diag, "diagonal blocks")
+    if diag.ndim < 3 or min(diag.shape[-3:-1]) < 1 or diag.shape[-2] != diag.shape[-1]:
+        raise ValueError(
+            f"diagonal blocks must be (..., L, d, d) with L, d >= 1, got {diag.shape}")
     sub = _float64(sub, "subdiagonal blocks")
     sup = _float64(sup, "superdiagonal blocks")
     L, d = diag.shape[-3], diag.shape[-1]
@@ -245,7 +248,8 @@ def finite_diff_grad(params: LevelParams, tree: TreeTopology, u: TreeVector,
     cost grows quadratically with the entry count; intended for small trees.
     Returns (grad_u, BlockGrads).
     """
-    if not (isinstance(eps, numbers.Real) and np.isfinite(eps) and eps > 0):
+    if not (isinstance(eps, numbers.Real) and not isinstance(eps, bool)
+            and np.isfinite(eps) and eps > 0):
         raise ValueError(f"step must be positive and finite, got {eps}")
     arrays = [np.array(a) for a in _flat(params.A, params.B, params.C, u.levels)]
     grads = [np.zeros_like(a) for a in arrays]

@@ -180,6 +180,8 @@ class TreeVector:
     def zeros(cls, tree: TreeTopology, block_sizes, heads: int = 1,
               batch: int = 1, right_parts: int = 1) -> "TreeVector":
         """An all-zero vector on ``tree``; ``block_sizes`` is one size or one per level."""
+        heads, batch, right_parts = (_positive(heads, "heads"), _positive(batch, "batch"),
+                                     _positive(right_parts, "right parts"))
         return cls(tuple(
             np.zeros((batch, heads, n, d, right_parts))
             for n, d in zip(tree.level_sizes, _block_size_list(block_sizes, tree.depth))
@@ -249,10 +251,10 @@ def init_random_stable(tree: TreeTopology, block_sizes=1, heads: int = 1,
     and d the larger adjacent block size.  Every Schur complement of the
     elimination is then I plus Gram terms, symmetric positive definite, so no
     pivot degenerates.  Deterministic in the integer ``seed``; a ``coupling_scale``
-    that is not a finite nonnegative real number is a ValueError.
+    that is a bool or not a finite nonnegative real number is a ValueError.
     """
-    if not (isinstance(coupling_scale, numbers.Real) and np.isfinite(coupling_scale)
-            and coupling_scale >= 0):
+    if not (isinstance(coupling_scale, numbers.Real) and not isinstance(coupling_scale, bool)
+            and np.isfinite(coupling_scale) and coupling_scale >= 0):
         raise ValueError(f"coupling scale must be finite and nonnegative, got {coupling_scale}")
     heads = _positive(heads, "heads")
     sizes = _block_size_list(block_sizes, tree.depth)

@@ -82,30 +82,31 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_new_pool)
 
 
-def _split(kernel, *operands) -> np.ndarray:
+def _split(kernel, *operands) -> Optional[np.ndarray]:
     """``kernel(*operands)``, its heads cut into contiguous ranges that run at once.
 
     In every operand and in the result the head axis is the fourth from the
     end and the node axis the third.  Ranges hold two heads or more, one per
     core: a range of one head would drop the head axis from ``einsum``'s
     iteration, which can change the order in which it sums.  Under four heads
-    or on one core ``kernel`` runs whole.  A split writes ``kernel(..., out=)``
-    per range into ``np.empty_like`` of the kernel's result on two-node slices
-    of the operands: numpy lays out what it allocates, and ``einsum`` orders
-    its sum, by its operands' strides and by which axes have length 1, so that
-    is the whole call's layout.  The first range runs on this thread, the
-    others on the pool.  The cores are read at every call, so an affinity
-    change takes effect at the next split.  ``invert_level`` never splits, so
-    a singular block is named as on one thread.  Kernels call only numpy:
-    they never submit to the pool, so calls from many threads cannot
-    deadlock, and no name that a tracer may wrap runs off the calling thread.
+    or on one core nothing splits: None tells the caller to run serially.  A
+    split writes ``kernel(..., out=)`` per range into ``np.empty_like`` of the
+    kernel's result on two heads and two nodes: numpy lays out what it
+    allocates, and ``einsum`` orders its sum, by its operands' strides and by
+    which axes have length 1, so that is the whole call's layout; and two
+    heads never split.  The first range runs on this thread, the others on
+    the pool.  The cores are read at every call, so an affinity change takes
+    effect at the next split.  ``invert_level`` never splits, so a singular
+    block is named as on one thread.  Kernels call only numpy: they never
+    submit to the pool, so calls from many threads cannot deadlock, and no
+    name that a tracer may wrap runs off the calling thread.
     """
     heads = operands[0].shape[-4]
     n = min(_cores(), heads // 2)
     if n < 2:
-        return kernel(*operands)
-    probe = kernel(*(x[..., :2, :, :] for x in operands))
-    out = np.empty_like(probe, shape=probe.shape[:-3] + operands[0].shape[-3:-2]
+        return None
+    probe = kernel(*(x[..., :2, :2, :, :] for x in operands))
+    out = np.empty_like(probe, shape=probe.shape[:-4] + operands[0].shape[-4:-2]
                         + probe.shape[-2:])
 
     def run(h0, h1):
@@ -176,32 +177,22 @@ def _gather_parents(v: np.ndarray, split) -> np.ndarray:
     return np.moveaxis(np.repeat(np.moveaxis(v, 2, 0), k or split, axis=0), 0, 2)
 
 
-def _block_product(a: np.ndarray, b: np.ndarray, add: Optional[np.ndarray] = None) -> np.ndarray:
+def _block_product(a: np.ndarray, b: np.ndarray, add: Optional[np.ndarray] = None, *,
+                   out: Optional[np.ndarray] = None) -> np.ndarray:
     """``a @ b`` over stacks of blocks, to the bit; scalar blocks multiply elementwise.
 
     With a contracted size of 1, ``matmul`` rounds one product and starts its
     sum from +0.0; ``+= 0.0`` turns a -0.0 product into +0.0 the same way.
-    Given ``add``, returns ``add + a @ b``, written over the product.  A
-    product whose work reaches ``_SPLIT_WORK`` goes to :func:`_split`; any
-    other runs :func:`_product_into`'s body inline, because a chain makes
-    thousands of products and a call per product costs time.  For the same
-    reason a cheaper test comes first: ``a.size`` bounds ``a.shape[-2]``.
+    Given ``add``, returns ``add + a @ b``, written over the product.  Given
+    ``out``, writes there and never splits: that is how :func:`_split` runs
+    it.  Otherwise a product whose work reaches ``_SPLIT_WORK`` goes to
+    :func:`_split`.  A chain makes thousands of products, so a cheaper test
+    comes first: ``a.size`` bounds ``a.shape[-2]``.
     """
-    if a.size * b.size >= _SPLIT_WORK and b.size * a.shape[-2] >= _SPLIT_WORK:
-        return _split(_product_into, a, b) if add is None else _split(_product_into, a, b, add)
-    if a.shape[-1] == 1 == b.shape[-2]:
-        out = a * b
-        out += 0.0
-    else:
-        out = a @ b
-    if add is not None:
-        np.add(add, out, out=out)
-    return out
-
-
-def _product_into(a: np.ndarray, b: np.ndarray, add: Optional[np.ndarray] = None, *,
-                  out: Optional[np.ndarray] = None) -> np.ndarray:
-    """:func:`_block_product` on one thread, written into ``out`` if given."""
+    if out is None and a.size * b.size >= _SPLIT_WORK and b.size * a.shape[-2] >= _SPLIT_WORK:
+        split = _split(_block_product, a, b) if add is None else _split(_block_product, a, b, add)
+        if split is not None:
+            return split
     if a.shape[-1] == 1 == b.shape[-2]:
         out = np.multiply(a, b, out=out)
         out += 0.0
@@ -212,18 +203,15 @@ def _product_into(a: np.ndarray, b: np.ndarray, add: Optional[np.ndarray] = None
     return out
 
 
-def _outer(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """-sum over batch and right parts of y x^T per block; large work goes to :func:`_split`.
+def _outer(y: np.ndarray, x: np.ndarray, *, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """-sum over batch and right parts of y x^T per block, split as in :func:`_block_product`.
 
-    As in :func:`_block_product`, ``x.size`` bounds ``x.shape[-2]`` in a cheaper first test.
+    As there, ``out`` is :func:`_split`'s, and ``x.size`` bounds ``x.shape[-2]``.
     """
-    if y.size * x.size >= _SPLIT_WORK and y.size * x.shape[-2] >= _SPLIT_WORK:
-        return _split(_outer_into, y, x)
-    return -np.einsum("bhnir,bhnjr->hnij", y, x)
-
-
-def _outer_into(y: np.ndarray, x: np.ndarray, *, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """:func:`_outer` on one thread, written into ``out`` if given."""
+    if out is None and y.size * x.size >= _SPLIT_WORK and y.size * x.shape[-2] >= _SPLIT_WORK:
+        split = _split(_outer, y, x)
+        if split is not None:
+            return split
     return np.negative(np.einsum("bhnir,bhnjr->hnij", y, x, out=out), out=out)
 
 

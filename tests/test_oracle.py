@@ -333,6 +333,15 @@ class TestBidiagonalFactorization:
     (lambda: tridiag_bidiagonal_factor(2 * np.ones((3, 2, 2)), np.ones((2, 2, 2)),
                                        np.ones((2, 1, 1))),
      "superdiagonal blocks must be (..., 2, 2, 2), got (2, 1, 1)"),
+    # the diagonal's own shape is checked before the off-diagonal blocks are measured by it
+    (lambda: tridiag_bidiagonal_factor(np.ones((3, 1)), np.ones((2, 1, 1)), np.ones((2, 1, 1))),
+     "diagonal blocks must be (..., L, d, d) with L, d >= 1, got (3, 1)"),
+    (lambda: tridiag_bidiagonal_factor(np.ones((0, 1, 1)), np.ones((0, 1, 1)),
+                                       np.ones((0, 1, 1))),
+     "diagonal blocks must be (..., L, d, d) with L, d >= 1, got (0, 1, 1)"),
+    (lambda: tridiag_bidiagonal_factor(np.ones((3, 2, 3)), np.ones((2, 2, 2)),
+                                       np.ones((2, 2, 2))),
+     "diagonal blocks must be (..., L, d, d) with L, d >= 1, got (3, 2, 3)"),
     (lambda: bidiagonal_solve(tridiag_bidiagonal_factor(2 * np.ones((3, 1, 1)),
                                                         np.ones((2, 1, 1)), np.ones((2, 1, 1))),
                               np.ones((5, 1, 1))),
@@ -343,8 +352,8 @@ class TestBidiagonalFactorization:
      "right part must be (..., 3, 1, r), got (3, 1)"),
 ], ids=["not-a-chain", "mixed-block-sizes", "2d-blocks", "ssm-long-right-part",
         "ssm-wide-right-part", "ssm-2d-right-part", "ssm-long-interaction", "ssm-nonsquare-maps",
-        "tridiag-long-sub", "tridiag-short-sub", "tridiag-sup-block-size",
-        "bidiagonal-long-right-part", "bidiagonal-2d-right-part"])
+        "tridiag-long-sub", "tridiag-short-sub", "tridiag-sup-block-size", "tridiag-2d-diag",
+        "tridiag-empty-diag", "tridiag-nonsquare-diag", "bidiagonal-long-right-part", "bidiagonal-2d-right-part"])
 def test_chain_helpers_refuse_bad_shapes(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
@@ -434,9 +443,10 @@ class TestFiniteDifferences:
         with pytest.raises(ValueError):
             finite_diff_grad(params, tree, u, lambda x: 0.0, eps=0.0)
 
-    # a step that is no real number would meet a TypeError in isfinite or in 1j > 0
-    @pytest.mark.parametrize("eps", [np.nan, np.inf, "a", None, 1j],
-                             ids=["nan", "inf", "string", "none", "complex"])
+    # a step that is no real number would meet a TypeError in isfinite or in 1j > 0,
+    # and a bool would run as a step of 1.0
+    @pytest.mark.parametrize("eps", [np.nan, np.inf, "a", None, 1j, True],
+                             ids=["nan", "inf", "string", "none", "complex", "bool"])
     def test_rejects_non_finite_step(self, eps):
         tree = build_chain(2)
         params = init_random_stable(tree, 1, seed=0)

@@ -298,6 +298,8 @@ _PAIR = build_perfect_tree(2, 2)  # two leaves under one root
      "coupling scale must be finite and nonnegative, got None"),
     (lambda: init_random_stable(_PAIR, coupling_scale=1j),
      "coupling scale must be finite and nonnegative, got 1j"),
+    (lambda: init_random_stable(_PAIR, coupling_scale=True),
+     "coupling scale must be finite and nonnegative, got True"),
     # the head count is read only after level 1's shape is checked
     (lambda: LevelParams((np.float64(1.0),), (), ()),
      "A level 1 must be (heads, nodes, d, d), got ()"),
@@ -305,6 +307,13 @@ _PAIR = build_perfect_tree(2, 2)  # two leaves under one root
     (lambda: TreeVector.zeros(_PAIR, (2,)), "expected 2 block sizes, got 1"),
     (lambda: TreeVector.zeros(_PAIR, (2, 2, 2)), "expected 2 block sizes, got 3"),
     (lambda: TreeVector.zeros(_PAIR, 0), "block sizes must be positive, got 0"),
+    # numpy would refuse a negative count with its own message, and a float or bool
+    # count with a TypeError
+    (lambda: TreeVector.zeros(_PAIR, 1, heads=-1), "heads must be positive, got -1"),
+    (lambda: TreeVector.zeros(_PAIR, 1, batch=-2), "batch must be positive, got -2"),
+    (lambda: TreeVector.zeros(_PAIR, 1, right_parts=1.5),
+     "right parts must be an integer, got 1.5"),
+    (lambda: TreeVector.zeros(_PAIR, 1, heads=True), "heads must be an integer, got True"),
     # zip would cut the deeper vector short, and numpy would broadcast batch 1
     (lambda: TreeVector.zeros(_PAIR, 1) - TreeVector((np.zeros((1, 1, 2, 1, 1)),)),
      "cannot subtract levels shaped [(1, 1, 2, 1, 1)] from [(1, 1, 2, 1, 1), (1, 1, 1, 1, 1)]"),
@@ -319,8 +328,10 @@ _PAIR = build_perfect_tree(2, 2)  # two leaves under one root
         "heads-before-block-sizes", "node-counts-before-block-sizes",
         "block-sizes-before-non-finite", "complex-vector-level", "complex-A", "complex64-C",
         "complex-ssm-maps", "complex-ssm-interaction", "complex-gauge", "complex-leaf-inputs",
-        "float-seed", "bool-seed", "string-scale", "none-scale", "complex-scale", "0d-A",
-        "zeros-short-sizes", "zeros-long-sizes", "zeros-zero-size", "sub-depth", "sub-batch"])
+        "float-seed", "bool-seed", "string-scale", "none-scale", "complex-scale", "bool-scale",
+        "0d-A", "zeros-short-sizes", "zeros-long-sizes", "zeros-zero-size",
+        "zeros-negative-heads", "zeros-negative-batch", "zeros-float-right-parts",
+        "zeros-bool-heads", "sub-depth", "sub-batch"])
 def test_shape_errors(call, fragment):
     with pytest.raises(ValueError, match=re.escape(fragment)):
         call()

@@ -145,20 +145,29 @@ def test_layer_forward_and_memory_orders(monkeypatch, cores, order):
     _both(monkeypatch, lambda: _calls(params, tree, relaid(u), relaid(x), relaid(g)))
 
 
-def _ranges(heads: int):
-    """The head ranges into which ``solver._split`` cuts a kernel, or None if it runs it whole."""
+def _ranges(heads: int, probes=None):
+    """The head ranges into which ``solver._split`` cuts a kernel, or None if it runs it whole.
+
+    The shape of each array that the kernel is probed on is appended to ``probes``.
+    """
     seen = []
 
     def kernel(a, *, out=None):  # each head's entry is its index
         if out is None:
+            if probes is not None:
+                probes.append(a.shape)
             return a.copy()
         seen.append((int(a[0, 0, 0, 0]), int(a[-1, 0, 0, 0]) + 1))
         out[...] = a
         return out
 
     a = np.arange(heads, dtype=float).reshape(heads, 1, 1, 1) * np.ones((1, 3, 1, 1))
-    assert_identical(solver._split(kernel, a), a)
-    return sorted(seen) or None
+    got = solver._split(kernel, a)
+    if got is None:  # the caller runs its own serial body
+        assert not seen
+        return None
+    assert_identical(got, a)
+    return sorted(seen)
 
 
 def test_ranges_hold_two_heads_or_more(monkeypatch):
@@ -169,10 +178,34 @@ def test_ranges_hold_two_heads_or_more(monkeypatch):
     assert _ranges(5) == [(0, 2), (2, 5)]
     monkeypatch.setattr(solver, "_cores", lambda: 3)
     assert _ranges(7) == [(0, 2), (2, 4), (4, 7)]
-    assert _ranges(16) == [(0, 5), (5, 10), (10, 16)]
+    probes = []
+    assert _ranges(16, probes) == [(0, 5), (5, 10), (10, 16)]
+    assert probes == [(2, 2, 1, 1)]  # two heads, which never split, and two of the three nodes
     monkeypatch.undo()  # read again, from this process's affinity
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     assert (_ranges(4) is None) == (cores == 1)
+
+
+@pytest.mark.parametrize("with_add", [False, True])
+@pytest.mark.parametrize("d", [1, 4])
+def test_kernels_given_out_write_there_and_never_split(monkeypatch, cores, d, with_add):
+    # _split runs the entry points themselves per range; given out= they must not split again
+    rng = np.random.default_rng(d)
+    a = rng.standard_normal((4, 3, d, d))
+    a[:, 0] = 0.0  # with d = 1, 0 * -b is -0.0, which the product must turn into +0.0
+    b, add, y, x = (rng.standard_normal((2, 4, 3, d, 2)) for _ in range(4))
+    add = add if with_add else None
+    monkeypatch.setattr(solver, "_SPLIT_WORK", SPLIT)
+    want = [solver._block_product(a, b, add), solver._outer(y, x)]
+
+    def refuse(*args):
+        raise AssertionError("a kernel given out= reached _split")
+
+    monkeypatch.setattr(solver, "_split", refuse)
+    bufs = [np.empty_like(w) for w in want]
+    got = [solver._block_product(a, b, add, out=bufs[0]), solver._outer(y, x, out=bufs[1])]
+    assert got[0] is bufs[0] and got[1] is bufs[1]
+    assert_identical(got, want)
 
 
 def test_importing_starts_no_thread():
