@@ -206,7 +206,7 @@ def _block_product(a: np.ndarray, b: np.ndarray, add: Optional[np.ndarray] = Non
 def _outer(y: np.ndarray, x: np.ndarray, *, out: Optional[np.ndarray] = None) -> np.ndarray:
     """-sum over batch and right parts of y x^T per block, split as in :func:`_block_product`.
 
-    As there, ``out`` is :func:`_split`'s, and ``x.size`` bounds ``x.shape[-2]``.
+    As there, :func:`_split` passes ``out``, and ``x.size`` bounds ``x.shape[-2]``.
     """
     if out is None and y.size * x.size >= _SPLIT_WORK and y.size * x.shape[-2] >= _SPLIT_WORK:
         split = _split(_outer, y, x)
